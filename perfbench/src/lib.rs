@@ -3,10 +3,11 @@
 //!
 //! * [`gen`] turns `--seed` into workload-spec text (and the serve
 //!   request stream); the measured crates only ever see that text.
-//! * [`mc`], [`dp`] and [`serve`] run one workload each: set-up (timed,
-//!   repeated, reported as its median), then a timed phase of
-//!   `--seconds`, checking every output against a reference computed in
-//!   set-up.
+//! * [`mc`] runs the engine workloads (`mc-tradeoff`, `mc-wide`,
+//!   `dp-exact`) and [`serve`] runs `serve-mix`: set-up (timed, repeated,
+//!   reported as its median), then a timed phase of `--seconds`, checking
+//!   every output against a reference computed in set-up. [`dp`] adds the
+//!   exact-backend layers to the traced `dp-exact` run.
 //! * [`layers`] times single layers in batches (rng draw, strategy step,
 //!   serial trial, parse/expand/key, render) over the workload's own
 //!   generated inputs for the traced run.

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 pub const CLIENTS: usize = 2;
 
 /// Requests per `wall_s` block.
-const BLOCK: usize = 384;
+const BLOCK: usize = 1536;
 
 /// `peak_rss_mb` is read when this request of the stream completes, so
 /// every run reports the memory of the same amount of served traffic
