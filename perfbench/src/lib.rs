@@ -94,7 +94,7 @@ pub const PER_LAYER: &[(&str, &str)] = &[
 ];
 
 /// Set-up is repeated this many times per run; `setup_s` is the median.
-pub const SETUP_REPS: usize = 5;
+pub const SETUP_REPS: usize = 9;
 
 /// Sweep workers for every timed phase (the benchmark host has 2 cores).
 pub const THREADS: usize = 2;
@@ -138,67 +138,74 @@ impl Outcome {
     }
 
     /// The contract's result line: `correct`, `attempted`, `failed` and
-    /// every metric of `catalogue` (absent per-layer values read 0).
+    /// every metric of `catalogue` (absent per-layer values read 0). A
+    /// metric that came out non-finite was not measured: it counts as one
+    /// more failed check instead of reading as a perfect 0.
     pub fn result_line(&self, catalogue: &[(&str, &str)]) -> String {
-        let metrics: Vec<String> = catalogue
-            .iter()
-            .map(|(name, unit)| {
-                let v = self.metrics.get(*name).copied().unwrap_or(0.0);
-                let v = if v.is_finite() { v } else { 0.0 };
-                format!("\"{name}\":{{\"value\":{v},\"unit\":\"{unit}\"}}")
-            })
-            .collect();
+        let (mut attempted, mut failed) = (self.attempted, self.failed);
+        let mut metrics = Vec::with_capacity(catalogue.len());
+        for (name, unit) in catalogue {
+            let mut v = self.metrics.get(*name).copied().unwrap_or(0.0);
+            if !v.is_finite() {
+                eprintln!("perfbench: metric {name} is {v}, counted as a failure");
+                attempted += 1;
+                failed += 1;
+                v = 0.0;
+            }
+            metrics.push(format!("\"{name}\":{{\"value\":{v},\"unit\":\"{unit}\"}}"));
+        }
         format!(
             "{{\"correct\":{},\"attempted\":{},\"failed\":{},\"metrics\":{{{}}}}}",
-            self.failed == 0 && self.attempted > 0,
-            self.attempted.max(1),
-            self.failed,
+            failed == 0 && attempted > 0,
+            attempted.max(1),
+            failed,
             metrics.join(",")
         )
     }
 }
 
-/// One window of a timed phase: whole passes over every generated spec
-/// (engine workloads) or a block of consecutive requests (serve-mix).
+/// One window of an engine workload's timed phase: whole passes over
+/// every generated spec, so every window repeats the same work.
 #[derive(Debug, Default)]
 pub struct Window {
     /// Wall-clock length of the window.
     pub secs: f64,
-    /// Passes (or request blocks) the window holds.
+    /// Passes the window holds.
     pub passes: u32,
-    /// Latencies (ms) of the operations completed in it.
-    pub latencies_ms: Vec<f64>,
+    /// Spec runs completed in it.
+    pub ops: usize,
 }
 
-/// The quantile over a run's windows at which the window metrics are
-/// reported. Every window of a run repeats the same work, and host
-/// interference only ever slows a window down, so a low quantile over
-/// many windows follows the program rather than its neighbours. The
-/// windows' quartiles go to stderr.
+/// The quantile over a run's windows at which `wall_s` and `req_per_s`
+/// are reported on the engine workloads. Every window repeats the same
+/// work and host interference only ever slows a window down, so a low
+/// quantile over many windows follows the program rather than its
+/// neighbours. The windows' quartiles go to stderr.
 pub const WINDOW_Q: f64 = 0.05;
 
-/// `wall_s`, `req_per_s`, `p50_ms` and `p90_ms` from a run's windows:
-/// per window its time per pass, its operation rate and its latency
-/// median and 90th percentile; across windows the [`WINDOW_Q`] quantile
-/// (the `1 − WINDOW_Q` one for the rate).
+/// `wall_s` and `req_per_s` of an engine workload: per window its time
+/// per pass and its spec-run rate; across windows the [`WINDOW_Q`]
+/// quantile (the `1 − WINDOW_Q` one for the rate).
 pub fn window_metrics(out: &mut Outcome, windows: &[Window]) {
-    let per = |f: &dyn Fn(&Window) -> f64| -> Vec<f64> { windows.iter().map(f).collect() };
-    let secs = per(&|w| w.secs / f64::from(w.passes.max(1)));
-    let rate = per(&|w| w.latencies_ms.len() as f64 / w.secs);
-    let p50 = per(&|w| trace::quantile(&w.latencies_ms, 0.5));
-    let p90 = per(&|w| trace::quantile(&w.latencies_ms, 0.9));
+    let secs: Vec<f64> = windows.iter().map(|w| w.secs / f64::from(w.passes.max(1))).collect();
+    let rate: Vec<f64> = windows.iter().map(|w| w.ops as f64 / w.secs).collect();
     out.set("wall_s", trace::quantile(&secs, WINDOW_Q));
     out.set("req_per_s", trace::quantile(&rate, 1.0 - WINDOW_Q));
-    out.set("p50_ms", trace::quantile(&p50, WINDOW_Q));
-    out.set("p90_ms", trace::quantile(&p90, WINDOW_Q));
-    let ops: usize = windows.iter().map(|w| w.latencies_ms.len()).sum();
-    let q = |xs: &[f64], p: f64| trace::quantile(xs, p);
+    let ops: usize = windows.iter().map(|w| w.ops).sum();
+    let q = |p: f64| trace::quantile(&secs, p);
     eprintln!(
         "perfbench: {} windows, {ops} operations; seconds per pass q05 {:.4} q25 {:.4} q50 {:.4} q75 {:.4}",
         windows.len(),
-        q(&secs, WINDOW_Q),
-        q(&secs, 0.25),
-        q(&secs, 0.5),
-        q(&secs, 0.75)
+        q(WINDOW_Q),
+        q(0.25),
+        q(0.5),
+        q(0.75)
     );
+}
+
+/// `p50_ms` and `p90_ms` over every operation latency of the timed phase
+/// (hundreds to thousands of samples, so at least ten lie beyond p90).
+pub fn latency_metrics(out: &mut Outcome, latencies_ms: &[f64]) {
+    out.set("p50_ms", trace::quantile(latencies_ms, 0.5));
+    out.set("p90_ms", trace::quantile(latencies_ms, 0.9));
 }

@@ -8,7 +8,7 @@
 
 use crate::gen::{self, Spec};
 use crate::trace::{median, ratio, Tracer};
-use crate::{layers, window_metrics, Opts, Outcome, Window, SETUP_REPS, THREADS};
+use crate::{layers, latency_metrics, window_metrics, Opts, Outcome, Window, SETUP_REPS, THREADS};
 use ants_bench::{Report, RunConfig, WorkloadExperiment};
 use ants_dp::Backend;
 use ants_obs::{Counter, Telemetry};
@@ -128,18 +128,21 @@ pub fn run(name: &str, opts: &Opts) -> Result<Outcome, String> {
     let mut off = Tracer::new(false, Instant::now());
     let mut windows = Vec::new();
     let mut open = Window::default();
+    let mut latencies = Vec::new();
     let started = Instant::now();
     while windows.is_empty() || started.elapsed().as_secs_f64() < opts.seconds {
         let t0 = Instant::now();
         let (latencies_ms, _) = pass(&prepared, &cfg, &mut off, &mut out);
         open.secs += t0.elapsed().as_secs_f64();
         open.passes += 1;
-        open.latencies_ms.extend(latencies_ms);
+        open.ops += latencies_ms.len();
+        latencies.extend(latencies_ms);
         if open.secs >= MIN_WINDOW_S {
             windows.push(std::mem::take(&mut open));
         }
     }
     window_metrics(&mut out, &windows);
+    latency_metrics(&mut out, &latencies);
     out.set("peak_rss_mb", crate::trace::peak_rss_mb());
     out.set("ok_frac", 1.0 - ratio(out.failed as f64, out.attempted as f64));
     Ok(out)

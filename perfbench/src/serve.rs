@@ -12,7 +12,7 @@
 
 use crate::gen::{self, ServeMix, ServeReq};
 use crate::trace::{median, quantile, ratio, Tracer};
-use crate::{layers, window_metrics, Opts, Outcome, Window, SETUP_REPS, THREADS};
+use crate::{layers, latency_metrics, Opts, Outcome, SETUP_REPS, THREADS};
 use ants_bench::{RunConfig, WorkloadExperiment};
 use ants_serve::protocol::Op;
 use ants_serve::{
@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 /// Concurrent client connections of the closed loop.
 pub const CLIENTS: usize = 2;
 
-/// Requests per `wall_s` block.
-const BLOCK: usize = 1536;
+/// `wall_s` on serve-mix is the loop's time per this many requests.
+const BLOCK: f64 = 1536.0;
 
 /// `peak_rss_mb` is read when this request of the stream completes, so
 /// every run reports the memory of the same amount of served traffic
@@ -297,34 +297,33 @@ fn one_request(w: &Warmed, req: ServeReq, tracer: &mut Tracer, started: Instant)
     }
 }
 
-/// End-to-end metrics of a loop, over windows of [`BLOCK`] consecutive
-/// completions (a window runs from the previous block's last completion
-/// to its own).
+/// End-to-end metrics of a loop, over the whole loop: later requests
+/// meet a larger cache than earlier ones, so no part of the loop stands
+/// for the rest. `req_per_s` is completions per second, `wall_s` the time
+/// per [`BLOCK`] requests, and `p50_ms` / `p90_ms` span every request.
 fn summarize(done: &[Done], elapsed: f64, out: &mut Outcome) {
     for d in done {
         out.check(d.ok);
     }
-    let mut windows = Vec::new();
-    let mut start = 0.0;
-    for block in done.chunks(BLOCK) {
-        let end = block[block.len() - 1].finished_s;
-        if block.len() == BLOCK || windows.is_empty() {
-            let latencies_ms =
-                block.iter().map(|d| d.latency_ms).filter(|x| x.is_finite()).collect();
-            windows.push(Window { secs: end - start, passes: 1, latencies_ms });
-        }
-        start = end;
-    }
-    if windows.is_empty() {
-        windows.push(Window { secs: elapsed, ..Window::default() });
-    }
-    window_metrics(out, &windows);
+    let rate = done.len() as f64 / elapsed;
+    out.set("req_per_s", rate);
+    out.set("wall_s", BLOCK / rate);
+    let latencies: Vec<f64> = done.iter().map(|d| d.latency_ms).filter(|x| x.is_finite()).collect();
+    latency_metrics(out, &latencies);
     let count = |c: Class| done.iter().filter(|d| d.class == c).count();
+    let miss_p50 = |part: &[Done]| {
+        let ms: Vec<f64> =
+            part.iter().filter(|d| d.class == Class::Miss).map(|d| d.latency_ms).collect();
+        median(&ms)
+    };
+    let quarter = done.len() / 4;
     eprintln!(
-        "perfbench: serve-mix {} hits, {} misses, {} stats",
+        "perfbench: serve-mix {} hits, {} misses, {} stats; miss p50 {:.2} ms in the first quarter, {:.2} ms in the last",
         count(Class::Hit),
         count(Class::Miss),
-        count(Class::Stats)
+        count(Class::Stats),
+        miss_p50(&done[..quarter]),
+        miss_p50(&done[done.len() - quarter..])
     );
 }
 
