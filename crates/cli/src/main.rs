@@ -186,7 +186,15 @@ fn workload(args: &[String]) {
                 eprintln!("error: {e}");
                 std::process::exit(1);
             }
-            emit_for(&Runner::new(flags.cfg).run(&exp), &flags);
+            // A cost guard can still trip mid-run (a forced dense table
+            // past its cap): report it as an error, not a panic.
+            let started = std::time::Instant::now();
+            let mut report = exp.try_run(&flags.cfg).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            });
+            report.set_wall_ms(started.elapsed().as_secs_f64() * 1e3);
+            emit_for(&report, &flags);
             write_telemetry(&flags);
         }
         "crosscheck" => {

@@ -292,6 +292,35 @@ fn workload_backend_flag_routes_and_validates() {
     std::fs::remove_dir_all(&cwd).ok();
 }
 
+/// A forced dense table past its guard is refused mid-run with an
+/// `error:` line and exit 1, not a panic; sparse storage solves the
+/// same cell.
+#[test]
+fn workload_run_reports_a_forced_dense_guard_as_an_error() {
+    let cwd = temp_dir("wl-dense-guard");
+    // mortal(randomwalk, 1000) at budget 64 wants 1001 x 129^2 dense
+    // entries, past MAX_TABLE_ENTRIES.
+    let spec = DP_SPEC
+        .replace("move_budget = 16", "move_budget = 64")
+        .replace("\"randomwalk\"", "\"mortal(randomwalk, 1000)\"");
+    std::fs::write(cwd.join("big.toml"), spec).unwrap();
+    let run = |mode: &str| {
+        ants(
+            &["workload", "run", "big.toml", "--smoke", "--backend", "dp", "--dp-mode", mode],
+            &cwd,
+        )
+    };
+    let out = run("dense");
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.starts_with("error: "), "stderr: {err}");
+    assert!(err.contains("--dp-mode sparse"), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    let out = run("sparse");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    std::fs::remove_dir_all(&cwd).ok();
+}
+
 /// A spec-level `backend = "dp"` on a non-Markovian cell fails
 /// `ants workload validate` with a spec-path error naming the strategy.
 #[test]

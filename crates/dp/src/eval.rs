@@ -147,7 +147,8 @@ pub struct DpCellReport {
 
 /// Work guard for the per-cell survival sweep: the product
 /// `bounds area × states × horizon³` must stay below this (the sweep
-/// runs one dense step DP per bounds cell).
+/// runs one step-clock forward DP per bounds cell, each up to
+/// `states × horizon²` entries per round on the dense table).
 pub(crate) const MAX_METRIC_WORK: u128 = 1 << 33;
 
 /// Enumerate a target placement's exact support: every candidate point
@@ -331,17 +332,20 @@ pub fn evaluate_with(
     }
     let success = *h_mix.last().expect("budget + 1 entries");
     let (median_moves, mean_moves) = conditional_moments(&h_mix);
-    let max_chi = req
-        .population
-        .iter()
-        .map(|s| {
-            if s.kernel.chi_is_static() {
-                s.kernel.chi(s.kernel.start()).chi()
-            } else {
-                chi_support(&s.kernel, req.move_budget)
-            }
-        })
-        .fold(f64::NEG_INFINITY, f64::max);
+    // The population's χ support statistic over `horizon` steps.
+    let chi_over = |horizon: u64| {
+        req.population
+            .iter()
+            .map(|s| {
+                if s.kernel.chi_is_static() {
+                    s.kernel.chi(s.kernel.start()).chi()
+                } else {
+                    chi_support(&s.kernel, horizon)
+                }
+            })
+            .fold(f64::NEG_INFINITY, f64::max)
+    };
+    let max_chi = chi_over(req.move_budget);
 
     // --- Metric columns against the round clock. ---
     let mut report = DpCellReport {
@@ -392,14 +396,9 @@ pub fn evaluate_with(
             let mut q_bar = vec![0.0f64; hz + 1];
             for (si, strat) in req.population.iter().enumerate() {
                 let key = format!("s|{:032x}|{},{}|{horizon}|{mode}", fps[si], cell.x, cell.y);
+                let k = &strat.kernel;
                 let q = cached_curve(cache, key, || {
-                    visit_survival_curve_mode(
-                        &strat.kernel,
-                        strat.kernel.label(),
-                        cell,
-                        horizon,
-                        mode,
-                    )
+                    visit_survival_curve_mode(k, k.label(), cell, horizon, mode)
                 })?;
                 for r in 0..=hz {
                     q_bar[r] += p_strat[si] * q[r];
@@ -426,18 +425,7 @@ pub fn evaluate_with(
         }
     }
     if metrics.chi {
-        report.chi_obs = Some(
-            req.population
-                .iter()
-                .map(|s| {
-                    if s.kernel.chi_is_static() {
-                        s.kernel.chi(s.kernel.start()).chi()
-                    } else {
-                        chi_support(&s.kernel, horizon)
-                    }
-                })
-                .fold(f64::NEG_INFINITY, f64::max),
-        );
+        report.chi_obs = Some(chi_over(horizon));
     }
     if metrics.found_round {
         let mut found_at = 0.0f64;
@@ -446,14 +434,9 @@ pub fn evaluate_with(
             let mut f_bar = vec![0.0f64; hz + 1];
             for (si, strat) in req.population.iter().enumerate() {
                 let key = format!("r|{:032x}|{},{}|{horizon}|{mode}", fps[si], target.x, target.y);
+                let k = &strat.kernel;
                 let f = cached_curve(cache, key, || {
-                    step_absorption_cdf_mode(
-                        &strat.kernel,
-                        strat.kernel.label(),
-                        target,
-                        horizon,
-                        mode,
-                    )
+                    step_absorption_cdf_mode(k, k.label(), target, horizon, mode)
                 })?;
                 for r in 0..=hz {
                     f_bar[r] += p_strat[si] * f[r];
@@ -474,7 +457,6 @@ pub fn evaluate_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::absorb::absorption_cdf;
     use crate::kernel::{nonuniform_kernel, randomwalk_kernel};
 
     fn walk_req(agents: u64, budget: u64, targets: Vec<(Point, f64)>) -> DpRequest {
@@ -494,7 +476,7 @@ mod tests {
         let req = walk_req(1, 8, vec![(Point::new(1, 0), 1.0)]);
         let rep = evaluate(&req).unwrap();
         let c = collapse(&randomwalk_kernel()).unwrap();
-        let curve = absorption_cdf(&c, "rw", Point::new(1, 0), 8).unwrap();
+        let curve = absorption_cdf_mode(&c, "rw", Point::new(1, 0), 8, DpMode::Dense).unwrap();
         assert_eq!(rep.success, *curve.cdf.last().unwrap());
         assert_eq!(rep.found, rep.success * 1000.0);
     }

@@ -1,58 +1,51 @@
-//! Sparse-frontier forward DPs: the same move- and step-indexed
-//! propagation as [`crate::absorb`] / [`crate::rounds`], but over only
-//! the occupied `(state, position)` entries instead of the full dense
-//! budget square.
+//! The sparse storage of the forward DP ([`crate::forward`]): only the
+//! occupied `(state, position)` entries instead of the full dense budget
+//! square.
 //!
 //! ## Representation
 //!
 //! The frontier is a `Vec<(u64, f64)>` sorted by a packed key
 //! `(state, x + B, y + B)` (state in the high 22 bits, each offset
-//! coordinate in 21 bits). One move scatters every entry through its
-//! state's exits into a scratch vector, then a *stable* sort + run
-//! merge rebuilds the sorted frontier. Stability matters: contributions
-//! to one cell are summed in exactly the order the dense table would
-//! have added them, so an unfolded sparse solve is bit-identical to the
-//! dense solve — same CDF bytes, same pruned mass, same summation
-//! order. The cost per move is `O(E log E)` in the number of scattered
-//! entries `E`, against the dense table's `O(states × (2B+1)²)`
-//! regardless of occupancy; kernels whose mass stays concentrated
-//! (mortal expiries, long budgets with far targets, drift automata)
-//! keep `E` orders of magnitude below the box.
+//! coordinate in 21 bits). One step scatters every entry through its
+//! state's exits into the write half, then a *stable* sort + run merge
+//! rebuilds the sorted frontier. Stability matters: contributions to one
+//! cell are summed in exactly the order the dense table would have added
+//! them, so an unfolded sparse solve is bit-identical to the dense solve
+//! — same CDF bytes, same pruned mass, same summation order. The cost
+//! per step is `O(E log E)` in the number of scattered entries `E`,
+//! against the dense table's `O(states × (2B+1)²)` regardless of
+//! occupancy; kernels whose mass stays concentrated (mortal expiries,
+//! long budgets with far targets, drift automata) keep `E` orders of
+//! magnitude below the box.
 //!
 //! ## Symmetry folding
 //!
 //! Every bundled kernel is axis-symmetric, and target placements put
 //! the target on an axis or diagonal often enough to exploit it: when a
 //! grid reflection `σ` fixes the target, fixes the origin, and leaves
-//! every kernel row invariant (as a multiset of `(next state, σ-mapped
-//! action, probability, reset)`), the DP runs on the quotient chain —
-//! each stored entry carries the *total* mass of its `{p, σp}` orbit
-//! and scatters to canonical representatives only. That halves the
-//! frontier (minus the fixed axis) at the cost of last-ulp differences
-//! from the dense solve; agreement stays far inside the crate's 1e-9
-//! exactness tolerance (proptest-pinned in `tests/sparse_parity.rs`).
+//! every lowered row invariant (as a multiset of exits with σ-mapped
+//! geometry), the DP runs on the quotient chain — each stored entry
+//! carries the *total* mass of its `{p, σp}` orbit and scatters to
+//! canonical representatives only. That halves the frontier (minus the
+//! fixed axis) at the cost of last-ulp differences from the dense solve;
+//! agreement stays far inside the crate's 1e-9 exactness tolerance
+//! (proptest-pinned in `tests/sparse_parity.rs`).
 //!
-//! ## Accounting
+//! ## Guards
 //!
-//! The three exact channels are identical to the dense DPs: deficit
-//! mass is dropped, truncation-state mass and sub-[`crate::PRUNE`]
-//! entries accumulate into `lost` and are checked against
-//! [`crate::TRUNCATION_TOL`]. The only guards are a per-move cap on the
-//! merged frontier length ([`crate::MAX_FRONTIER_ENTRIES`]) and the
-//! packed-key coordinate span ([`crate::MAX_SPARSE_SPAN`]) — there is
-//! no up-front refusal based on the budget square, which is the point:
-//! cells the dense guard rejects outright often have tiny frontiers.
+//! A per-step cap on the merged frontier length
+//! ([`crate::MAX_FRONTIER_ENTRIES`]) and the packed-key coordinate span
+//! ([`crate::MAX_SPARSE_SPAN`]) — there is no up-front refusal based on
+//! the budget square, which is the point: cells the dense guard rejects
+//! outright often have tiny frontiers.
 
-use crate::absorb::AbsorptionCurve;
-use crate::collapse::CollapsedKernel;
 use crate::error::DpError;
-use crate::kernel::{MarkovKernel, PositionClass};
-use ants_automaton::GridAction;
-use ants_grid::{Direction, Point};
+use crate::forward::{Exit, Row, Storage};
+use ants_grid::Point;
 
 /// A grid reflection through the origin that the folded DP can quotient
 /// by. Each fixes the origin; legality against a given target/kernel is
-/// decided by [`mirror_for`].
+/// decided by [`mirror_for`] and [`invariant`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mirror {
     /// `(x, y) → (x, −y)` — legal when the target sits on the x-axis.
@@ -67,8 +60,8 @@ pub enum Mirror {
 }
 
 impl Mirror {
-    /// Apply the reflection to a point.
-    fn map(self, x: i64, y: i64) -> (i64, i64) {
+    /// Apply the reflection to a point (or a move's displacement).
+    pub(crate) fn map(self, x: i64, y: i64) -> (i64, i64) {
         match self {
             Mirror::NegY => (x, -y),
             Mirror::NegX => (-x, y),
@@ -77,41 +70,16 @@ impl Mirror {
         }
     }
 
-    /// Apply the reflection to a move direction.
-    fn map_dir(self, d: Direction) -> Direction {
-        match (self, d) {
-            (Mirror::NegY, Direction::Up) => Direction::Down,
-            (Mirror::NegY, Direction::Down) => Direction::Up,
-            (Mirror::NegY, d) => d,
-            (Mirror::NegX, Direction::Left) => Direction::Right,
-            (Mirror::NegX, Direction::Right) => Direction::Left,
-            (Mirror::NegX, d) => d,
-            (Mirror::Swap, Direction::Up) => Direction::Right,
-            (Mirror::Swap, Direction::Right) => Direction::Up,
-            (Mirror::Swap, Direction::Down) => Direction::Left,
-            (Mirror::Swap, Direction::Left) => Direction::Down,
-            (Mirror::AntiSwap, Direction::Up) => Direction::Left,
-            (Mirror::AntiSwap, Direction::Left) => Direction::Up,
-            (Mirror::AntiSwap, Direction::Down) => Direction::Right,
-            (Mirror::AntiSwap, Direction::Right) => Direction::Down,
-        }
-    }
-
-    /// Is `(x, y)` the orbit's canonical representative?
+    /// The canonical representative of `(x, y)`'s orbit.
     #[inline]
-    fn canonical(self, x: i64, y: i64) -> bool {
-        match self {
+    fn canon(self, x: i64, y: i64) -> (i64, i64) {
+        let canonical = match self {
             Mirror::NegY => y >= 0,
             Mirror::NegX => x >= 0,
             Mirror::Swap => x >= y,
             Mirror::AntiSwap => x + y >= 0,
-        }
-    }
-
-    /// The canonical representative of `(x, y)`'s orbit.
-    #[inline]
-    fn canon(self, x: i64, y: i64) -> (i64, i64) {
-        if self.canonical(x, y) {
+        };
+        if canonical {
             (x, y)
         } else {
             self.map(x, y)
@@ -119,19 +87,9 @@ impl Mirror {
     }
 }
 
-/// A stable ordinal for sorting directions inside invariance checks.
-fn dir_code(d: Direction) -> u8 {
-    match d {
-        Direction::Up => 0,
-        Direction::Down => 1,
-        Direction::Left => 2,
-        Direction::Right => 3,
-    }
-}
-
 /// The first reflection that fixes `target` (the origin is fixed by
 /// all four). `None` for off-axis, off-diagonal targets.
-fn mirror_for(target: Point) -> Option<Mirror> {
+pub(crate) fn mirror_for(target: Point) -> Option<Mirror> {
     if target.y == 0 {
         Some(Mirror::NegY)
     } else if target.x == 0 {
@@ -145,69 +103,23 @@ fn mirror_for(target: Point) -> Option<Mirror> {
     }
 }
 
-/// Is every collapsed row invariant under `m` as a multiset of
-/// `(next, σ(dir), prob, reset)`? Reset exits teleport to the absolute
-/// point `dir.delta()`, which `σ` maps exactly like a move, so one
-/// check covers both exit kinds.
-fn collapsed_invariant(c: &CollapsedKernel, m: Mirror) -> bool {
-    for row in &c.rows {
-        let mut plain: Vec<(usize, u8, u64, bool)> = Vec::with_capacity(row.exits.len());
-        let mut mapped: Vec<(usize, u8, u64, bool)> = Vec::with_capacity(row.exits.len());
-        for &(e, p) in &row.exits {
-            let exit = c.exits[e as usize];
-            plain.push((exit.next, dir_code(exit.dir), p.to_bits(), exit.reset));
-            mapped.push((exit.next, dir_code(m.map_dir(exit.dir)), p.to_bits(), exit.reset));
-        }
-        plain.sort_unstable();
-        mapped.sort_unstable();
-        if plain != mapped {
-            return false;
-        }
-    }
-    true
-}
-
-/// Is every raw kernel row invariant under `m`? `None`/`Origin` actions
-/// are position-free and map to themselves; `Move(dir)` maps through
-/// `σ`. Only the `Away` rows matter — they are the rows the step DP
-/// propagates.
-fn kernel_invariant(k: &dyn MarkovKernel, m: Mirror) -> bool {
-    for s in 0..k.num_states() {
-        let row = k.row(s, PositionClass::Away);
-        let code = |a: GridAction, mirrored: bool| -> (u8, u8) {
-            match a {
-                GridAction::Move(d) => (0, dir_code(if mirrored { m.map_dir(d) } else { d })),
-                GridAction::None => (1, 0),
-                GridAction::Origin => (2, 0),
-            }
+/// Is every lowered row invariant under `m`: are its exits, and its
+/// resets, the same multisets with σ-mapped geometry? Truncation
+/// fractions are position-free, so they never break invariance.
+pub(crate) fn invariant(rows: &[Row], m: Mirror) -> bool {
+    let fixed = |exits: &[Exit]| {
+        let keys = |m| {
+            let mut k: Vec<_> = exits.iter().map(|e| e.key(m)).collect();
+            k.sort_unstable();
+            k
         };
-        let mut plain: Vec<(usize, (u8, u8), u64)> = Vec::with_capacity(row.len());
-        let mut mapped: Vec<(usize, (u8, u8), u64)> = Vec::with_capacity(row.len());
-        for t in row {
-            plain.push((t.next, code(t.action, false), t.prob.to_bits()));
-            mapped.push((t.next, code(t.action, true), t.prob.to_bits()));
-        }
-        plain.sort_unstable();
-        mapped.sort_unstable();
-        if plain != mapped {
-            return false;
-        }
-    }
-    true
-}
-
-/// Statistics of one sparse solve, for `ants profile` narration and the
-/// `BENCH_dp.json` frontier-size record.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FrontierStats {
-    /// Largest merged frontier length reached at any move/round.
-    pub peak_entries: usize,
-    /// Was a symmetry fold applied?
-    pub folded: bool,
+        keys(None) == keys(Some(m))
+    };
+    rows.iter().all(|row| fixed(&row.each) && fixed(&row.resets))
 }
 
 /// Packed `(state, x + span, y + span)` key; sorts state-major then
-/// row-major — the dense tables' exact iteration order.
+/// row-major — the dense table's exact iteration order.
 #[inline]
 fn pack(span: i64, s: usize, x: i64, y: i64) -> u64 {
     debug_assert!(x.abs() <= span && y.abs() <= span);
@@ -215,312 +127,113 @@ fn pack(span: i64, s: usize, x: i64, y: i64) -> u64 {
 }
 
 #[inline]
-fn unpack(span: i64, key: u64) -> (usize, i64, i64) {
-    let s = (key >> 42) as usize;
-    let x = ((key >> 21) & 0x1f_ffff) as i64 - span;
-    let y = (key & 0x1f_ffff) as i64 - span;
-    (s, x, y)
+fn state_of(key: u64) -> usize {
+    (key >> 42) as usize
 }
 
-/// Check the packed-key span and state-count limits up front.
-fn check_shape(label: &str, states: usize, span: u64, clock: &str) -> Result<(), DpError> {
-    if span > crate::MAX_SPARSE_SPAN {
-        return Err(DpError::Guard {
-            what: format!("sparse frontier coordinate span for {label} ({clock} {span})"),
-            limit: crate::MAX_SPARSE_SPAN as usize,
-            hint: "shrink the cell or use backend = \"mc\"".into(),
-        });
-    }
-    if states >= 1 << 22 {
-        return Err(DpError::Guard {
-            what: format!("sparse frontier state space for {label} ({states} states)"),
-            limit: (1 << 22) - 1,
-            hint: "shrink the cell or use backend = \"mc\"".into(),
-        });
-    }
-    Ok(())
+/// The sorted sparse frontier, folded by an optional mirror.
+pub(crate) struct Frontier {
+    span: i64,
+    fold: Option<Mirror>,
+    entries: Vec<(u64, f64)>,
 }
 
-/// Stable-sort the scratch scatter list and merge equal keys by
-/// left-to-right summation (the dense tables' accumulation order),
-/// writing the merged frontier into `out`.
-fn merge_scatter(scratch: &mut [(u64, f64)], out: &mut Vec<(u64, f64)>) {
-    scratch.sort_by_key(|&(k, _)| k);
-    out.clear();
-    for &(k, p) in scratch.iter() {
-        match out.last_mut() {
-            Some(last) if last.0 == k => last.1 += p,
-            _ => out.push((k, p)),
+impl Storage for Frontier {
+    type Group = (usize, usize);
+
+    fn open(
+        states: usize,
+        span: u64,
+        fold: Option<Mirror>,
+        label: &str,
+        horizon: &str,
+    ) -> Result<Frontier, DpError> {
+        let hint = "shrink the cell or use backend = \"mc\"";
+        if span > crate::MAX_SPARSE_SPAN {
+            return Err(DpError::Guard {
+                what: format!("sparse frontier coordinate span for {label} ({horizon} {span})"),
+                limit: crate::MAX_SPARSE_SPAN as usize,
+                hint: hint.into(),
+            });
+        }
+        if states >= 1 << 22 {
+            return Err(DpError::Guard {
+                what: format!("sparse frontier state space for {label} ({states} states)"),
+                limit: (1 << 22) - 1,
+                hint: hint.into(),
+            });
+        }
+        Ok(Frontier { span: span as i64, fold, entries: Vec::new() })
+    }
+
+    fn clear(&mut self, _radius: i64) {
+        self.entries.clear();
+    }
+
+    #[inline]
+    fn add(&mut self, state: usize, x: i64, y: i64, mass: f64) {
+        let (x, y) = self.fold.map_or((x, y), |m| m.canon(x, y));
+        self.entries.push((pack(self.span, state, x, y), mass));
+    }
+
+    fn next_group(&self, cursor: &mut usize) -> Option<(usize, (usize, usize))> {
+        let start = *cursor;
+        let s = state_of(self.entries.get(start)?.0);
+        *cursor = start + self.entries[start..].partition_point(|&(k, _)| state_of(k) == s);
+        Some((s, (start, *cursor)))
+    }
+
+    #[inline]
+    fn visit(&self, (start, end): (usize, usize), _radius: i64, mut f: impl FnMut(i64, i64, f64)) {
+        for &(key, p) in &self.entries[start..end] {
+            let x = ((key >> 21) & 0x1f_ffff) as i64 - self.span;
+            let y = (key & 0x1f_ffff) as i64 - self.span;
+            f(x, y, p);
         }
     }
-}
 
-/// Guard the merged frontier length.
-fn check_frontier(label: &str, len: usize, m: i64, clock: &str) -> Result<(), DpError> {
-    if len > crate::MAX_FRONTIER_ENTRIES {
-        return Err(DpError::Guard {
-            what: format!("sparse frontier for {label} ({len} live entries at {clock} {m})"),
-            limit: crate::MAX_FRONTIER_ENTRIES,
-            hint: "shrink the cell or use backend = \"mc\"".into(),
-        });
-    }
-    Ok(())
-}
-
-/// Sparse twin of [`crate::absorb::absorption_cdf`]: same semantics,
-/// same accounting, frontier storage. Unfolded solves are bit-identical
-/// to the dense table; folded solves agree to well within
-/// [`crate::TRUNCATION_TOL`].
-///
-/// # Errors
-///
-/// * [`DpError::Guard`] when the live frontier exceeds
-///   [`crate::MAX_FRONTIER_ENTRIES`] or the budget exceeds the packed
-///   coordinate span.
-/// * [`DpError::Truncation`] / [`DpError::Unsupported`] exactly as the
-///   dense solver.
-pub fn sparse_absorption_cdf(
-    collapsed: &CollapsedKernel,
-    label: &str,
-    target: Point,
-    budget: u64,
-) -> Result<AbsorptionCurve, DpError> {
-    sparse_absorption_cdf_stats(collapsed, label, target, budget).map(|(curve, _)| curve)
-}
-
-/// [`sparse_absorption_cdf`] plus the solve's [`FrontierStats`].
-///
-/// # Errors
-///
-/// As [`sparse_absorption_cdf`].
-pub fn sparse_absorption_cdf_stats(
-    collapsed: &CollapsedKernel,
-    label: &str,
-    target: Point,
-    budget: u64,
-) -> Result<(AbsorptionCurve, FrontierStats), DpError> {
-    if target == Point::ORIGIN {
-        return Err(DpError::Unsupported {
-            what: "absorption at the origin".into(),
-            reason: "targets are never placed on the origin".into(),
-        });
-    }
-    let states = collapsed.rows.len();
-    check_shape(label, states, budget, "move budget")?;
-    let span = budget as i64;
-    let mirror = mirror_for(target).filter(|&m| collapsed_invariant(collapsed, m));
-    let canon = |x: i64, y: i64| -> (i64, i64) {
-        match mirror {
-            Some(m) => m.canon(x, y),
-            None => (x, y),
-        }
-    };
-
-    // Per-state exit split, identical to the dense solver: clean exits
-    // scatter per occupied position; reset exits apply once to the
-    // state's positional marginal and teleport to `dir.delta()`.
-    struct Entry {
-        next: usize,
-        dx: i64,
-        dy: i64,
-        prob: f64,
-    }
-    let mut clean: Vec<Vec<Entry>> = Vec::with_capacity(states);
-    let mut reset: Vec<Vec<Entry>> = Vec::with_capacity(states);
-    let mut trunc_of: Vec<f64> = Vec::with_capacity(states);
-    for row in &collapsed.rows {
-        let mut c = Vec::new();
-        let mut r = Vec::new();
-        for &(e, prob) in &row.exits {
-            let exit = collapsed.exits[e as usize];
-            let (dx, dy) = exit.dir.delta();
-            let entry = Entry { next: exit.next, dx, dy, prob };
-            if exit.reset {
-                r.push(entry);
-            } else {
-                c.push(entry);
+    /// Stable-sort `nxt`'s scatter list and merge equal keys by
+    /// left-to-right summation (the dense table's accumulation order)
+    /// into `cur`.
+    fn settle(
+        cur: &mut Frontier,
+        nxt: &mut Frontier,
+        label: &str,
+        at: std::fmt::Arguments<'_>,
+    ) -> Result<usize, DpError> {
+        nxt.entries.sort_by_key(|&(k, _)| k);
+        cur.entries.clear();
+        for &(k, p) in &nxt.entries {
+            match cur.entries.last_mut() {
+                Some(last) if last.0 == k => last.1 += p,
+                _ => cur.entries.push((k, p)),
             }
         }
-        clean.push(c);
-        reset.push(r);
-        trunc_of.push(row.trunc);
-    }
-
-    let mut cur: Vec<(u64, f64)> = vec![(pack(span, collapsed.start, 0, 0), 1.0)];
-    let mut scratch: Vec<(u64, f64)> = Vec::new();
-    let mut cdf = Vec::with_capacity(budget as usize + 1);
-    cdf.push(0.0);
-    let mut absorbed = 0.0f64;
-    let mut lost = 0.0f64;
-    let mut peak = cur.len();
-
-    for m in 1..=span {
-        scratch.clear();
-        let mut i = 0;
-        while i < cur.len() {
-            let s = (cur[i].0 >> 42) as usize;
-            if clean[s].is_empty() && reset[s].is_empty() && trunc_of[s] == 0.0 {
-                // Dead state: its mass is deficit — skip the group.
-                while i < cur.len() && (cur[i].0 >> 42) as usize == s {
-                    i += 1;
-                }
-                continue;
-            }
-            let mut marginal = 0.0f64;
-            while i < cur.len() && (cur[i].0 >> 42) as usize == s {
-                let (key, p) = cur[i];
-                i += 1;
-                if p == 0.0 {
-                    continue;
-                }
-                if p < crate::PRUNE {
-                    lost += p;
-                    continue;
-                }
-                marginal += p;
-                let (_, x, y) = unpack(span, key);
-                for e in &clean[s] {
-                    let (nx, ny) = (x + e.dx, y + e.dy);
-                    let mass = p * e.prob;
-                    if nx == target.x && ny == target.y {
-                        absorbed += mass;
-                    } else {
-                        let (cx, cy) = canon(nx, ny);
-                        scratch.push((pack(span, e.next, cx, cy), mass));
-                    }
-                }
-            }
-            if marginal > 0.0 {
-                for e in &reset[s] {
-                    let mass = marginal * e.prob;
-                    if e.dx == target.x && e.dy == target.y {
-                        absorbed += mass;
-                    } else {
-                        let (cx, cy) = canon(e.dx, e.dy);
-                        scratch.push((pack(span, e.next, cx, cy), mass));
-                    }
-                }
-                lost += marginal * trunc_of[s];
-            }
+        let live = cur.entries.len();
+        if live > crate::MAX_FRONTIER_ENTRIES {
+            return Err(DpError::Guard {
+                what: format!("sparse frontier for {label} ({live} live entries at {at})"),
+                limit: crate::MAX_FRONTIER_ENTRIES,
+                hint: "shrink the cell or use backend = \"mc\"".into(),
+            });
         }
-        merge_scatter(&mut scratch, &mut cur);
-        check_frontier(label, cur.len(), m, "move")?;
-        peak = peak.max(cur.len());
-        cdf.push(absorbed);
+        Ok(live)
     }
-
-    if lost > crate::TRUNCATION_TOL {
-        return Err(DpError::Truncation { kernel: label.to_string(), lost });
-    }
-    Ok((
-        AbsorptionCurve { cdf, lost },
-        FrontierStats { peak_entries: peak, folded: mirror.is_some() },
-    ))
-}
-
-/// Sparse twin of the step-indexed first-landing DP behind
-/// [`crate::rounds::step_absorption_cdf`] /
-/// [`crate::rounds::visit_survival_curve`]: raw per-step kernel rows,
-/// absorption on move landings only, `Origin` teleports to the origin.
-///
-/// # Errors
-///
-/// As [`sparse_absorption_cdf`], against the round clock.
-pub fn sparse_first_landing_cdf(
-    kernel: &dyn MarkovKernel,
-    label: &str,
-    point: Point,
-    horizon: u64,
-) -> Result<(Vec<f64>, FrontierStats), DpError> {
-    let states = kernel.num_states();
-    check_shape(label, states, horizon, "horizon")?;
-    let span = horizon as i64;
-    let mirror = mirror_for(point).filter(|&m| kernel_invariant(kernel, m));
-    let canon = |x: i64, y: i64| -> (i64, i64) {
-        match mirror {
-            Some(m) => m.canon(x, y),
-            None => (x, y),
-        }
-    };
-    let mut is_trunc = vec![false; states];
-    for &t in kernel.truncation_states() {
-        is_trunc[t] = true;
-    }
-
-    let mut cur: Vec<(u64, f64)> = vec![(pack(span, kernel.start(), 0, 0), 1.0)];
-    let mut scratch: Vec<(u64, f64)> = Vec::new();
-    let mut out = Vec::with_capacity(horizon as usize + 1);
-    out.push(0.0);
-    let mut absorbed = 0.0f64;
-    let mut lost = 0.0f64;
-    let mut peak = cur.len();
-
-    for r in 1..=span {
-        scratch.clear();
-        let mut i = 0;
-        while i < cur.len() {
-            let s = (cur[i].0 >> 42) as usize;
-            let row = kernel.row(s, PositionClass::Away);
-            if row.is_empty() {
-                while i < cur.len() && (cur[i].0 >> 42) as usize == s {
-                    i += 1;
-                }
-                continue;
-            }
-            while i < cur.len() && (cur[i].0 >> 42) as usize == s {
-                let (key, p) = cur[i];
-                i += 1;
-                if p == 0.0 {
-                    continue;
-                }
-                if p < crate::PRUNE {
-                    lost += p;
-                    continue;
-                }
-                let (_, x, y) = unpack(span, key);
-                for t in row {
-                    let mass = p * t.prob;
-                    if mass == 0.0 {
-                        continue;
-                    }
-                    if is_trunc[t.next] {
-                        lost += mass;
-                        continue;
-                    }
-                    match t.action {
-                        GridAction::Move(dir) => {
-                            let (dx, dy) = dir.delta();
-                            let (nx, ny) = (x + dx, y + dy);
-                            if nx == point.x && ny == point.y {
-                                absorbed += mass;
-                            } else {
-                                let (cx, cy) = canon(nx, ny);
-                                scratch.push((pack(span, t.next, cx, cy), mass));
-                            }
-                        }
-                        GridAction::None => scratch.push((pack(span, t.next, x, y), mass)),
-                        GridAction::Origin => scratch.push((pack(span, t.next, 0, 0), mass)),
-                    }
-                }
-            }
-        }
-        merge_scatter(&mut scratch, &mut cur);
-        check_frontier(label, cur.len(), r, "round")?;
-        peak = peak.max(cur.len());
-        out.push(absorbed);
-    }
-
-    if lost > crate::TRUNCATION_TOL {
-        return Err(DpError::Truncation { kernel: label.to_string(), lost });
-    }
-    Ok((out, FrontierStats { peak_entries: peak, folded: mirror.is_some() }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collapse::collapse;
+    use crate::forward::{solve, AbsorptionCurve};
+    use crate::kernel::MarkovKernel;
     use crate::kernel::{mortal_kernel, nonuniform_kernel, randomwalk_kernel};
+    use crate::{absorption_cdf_mode, DpMode};
+
+    /// A step-clock solve over 24 rounds, with its storage statistics.
+    fn rounds(k: &dyn MarkovKernel, target: Point, mode: DpMode) -> AbsorptionCurve {
+        solve(k, k.label(), target, 24, mode).unwrap()
+    }
 
     #[test]
     fn off_axis_target_folds_nothing() {
@@ -537,9 +250,9 @@ mod tests {
         // dense summation order exactly — byte-identical CDF.
         let c = collapse(&nonuniform_kernel(4).unwrap()).unwrap();
         let target = Point::new(2, 1);
-        let dense = crate::absorb::absorption_cdf(&c, "nu", target, 24).unwrap();
-        let (sparse, stats) = sparse_absorption_cdf_stats(&c, "nu", target, 24).unwrap();
-        assert!(!stats.folded);
+        let dense = absorption_cdf_mode(&c, "nu", target, 24, DpMode::Dense).unwrap();
+        let sparse = absorption_cdf_mode(&c, "nu", target, 24, DpMode::Sparse).unwrap();
+        assert!(!sparse.stats.folded);
         assert_eq!(dense.lost.to_bits(), sparse.lost.to_bits());
         for (m, (a, b)) in dense.cdf.iter().zip(sparse.cdf.iter()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "move {m}: {a} vs {b}");
@@ -550,15 +263,15 @@ mod tests {
     fn folded_sparse_agrees_with_dense_on_axis_target() {
         let c = collapse(&randomwalk_kernel()).unwrap();
         let target = Point::new(3, 0);
-        let dense = crate::absorb::absorption_cdf(&c, "rw", target, 32).unwrap();
-        let (sparse, stats) = sparse_absorption_cdf_stats(&c, "rw", target, 32).unwrap();
-        assert!(stats.folded, "axis target must fold");
+        let dense = absorption_cdf_mode(&c, "rw", target, 32, DpMode::Dense).unwrap();
+        let sparse = absorption_cdf_mode(&c, "rw", target, 32, DpMode::Sparse).unwrap();
+        assert!(sparse.stats.folded, "axis target must fold");
         for (m, (a, b)) in dense.cdf.iter().zip(sparse.cdf.iter()).enumerate() {
             assert!((a - b).abs() <= 1e-12, "move {m}: {a} vs {b}");
         }
         // Folding roughly halves the frontier.
-        let (_, unfolded) = sparse_absorption_cdf_stats(&c, "rw", Point::new(3, 1), 32).unwrap();
-        assert!(stats.peak_entries < unfolded.peak_entries);
+        let unfolded = absorption_cdf_mode(&c, "rw", Point::new(3, 1), 32, DpMode::Sparse).unwrap();
+        assert!(sparse.stats.peak_entries < unfolded.stats.peak_entries);
     }
 
     #[test]
@@ -572,16 +285,16 @@ mod tests {
         let c = collapse(&k).unwrap();
         let target = Point::new(4, 0);
         assert!(matches!(
-            crate::absorb::absorption_cdf(&c, "mortal", target, 64),
+            absorption_cdf_mode(&c, "mortal", target, 64, DpMode::Dense),
             Err(DpError::Guard { .. })
         ));
-        let (curve, stats) = sparse_absorption_cdf_stats(&c, "mortal", target, 64).unwrap();
+        let curve = absorption_cdf_mode(&c, "mortal", target, 64, DpMode::Sparse).unwrap();
         assert_eq!(curve.cdf.len(), 65);
-        assert!(stats.peak_entries <= 129 * 129);
+        assert!(curve.stats.peak_entries <= 129 * 129);
         // The free walk never expires within 64 moves, so the curves
         // agree with the plain random walk's.
         let free = collapse(&inner).unwrap();
-        let base = crate::absorb::absorption_cdf(&free, "rw", target, 64).unwrap();
+        let base = absorption_cdf_mode(&free, "rw", target, 64, DpMode::Dense).unwrap();
         for (m, (a, b)) in base.cdf.iter().zip(curve.cdf.iter()).enumerate() {
             assert!((a - b).abs() <= 1e-12, "move {m}: {a} vs {b}");
         }
@@ -592,10 +305,10 @@ mod tests {
         // The random walk's single state is row-invariant under every
         // mirror, so a diagonal target folds.
         let rw = randomwalk_kernel();
-        let dense = crate::rounds::step_absorption_cdf(&rw, "rw", Point::new(2, 2), 24).unwrap();
-        let (sparse, stats) = sparse_first_landing_cdf(&rw, "rw", Point::new(2, 2), 24).unwrap();
-        assert!(stats.folded, "diagonal target must fold for the random walk");
-        for (r, (a, b)) in dense.iter().zip(sparse.iter()).enumerate() {
+        let dense = rounds(&rw, Point::new(2, 2), DpMode::Dense);
+        let sparse = rounds(&rw, Point::new(2, 2), DpMode::Sparse);
+        assert!(sparse.stats.folded, "diagonal target must fold for the random walk");
+        for (r, (a, b)) in dense.cdf.iter().zip(sparse.cdf.iter()).enumerate() {
             assert!((a - b).abs() <= 1e-12, "round {r}: {a} vs {b}");
         }
         // The nonuniform kernel encodes its walk direction in the state
@@ -604,10 +317,10 @@ mod tests {
         // and therefore bit-identical to the dense rounds DP.
         let k = nonuniform_kernel(4).unwrap();
         for target in [Point::new(1, 1), Point::new(2, 1)] {
-            let (unfolded, ustats) = sparse_first_landing_cdf(&k, "nu", target, 24).unwrap();
-            assert!(!ustats.folded);
-            let dense2 = crate::rounds::step_absorption_cdf(&k, "nu", target, 24).unwrap();
-            for (r, (a, b)) in dense2.iter().zip(unfolded.iter()).enumerate() {
+            let unfolded = rounds(&k, target, DpMode::Sparse);
+            assert!(!unfolded.stats.folded);
+            let dense2 = rounds(&k, target, DpMode::Dense);
+            for (r, (a, b)) in dense2.cdf.iter().zip(unfolded.cdf.iter()).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "round {r}");
             }
         }
@@ -616,8 +329,8 @@ mod tests {
     #[test]
     fn span_guard_trips_on_absurd_budget() {
         let c = collapse(&randomwalk_kernel()).unwrap();
-        let err = sparse_absorption_cdf(&c, "rw", Point::new(1, 0), crate::MAX_SPARSE_SPAN + 1)
-            .unwrap_err();
-        assert!(matches!(err, DpError::Guard { .. }), "{err}");
+        let budget = crate::MAX_SPARSE_SPAN + 1;
+        let err = absorption_cdf_mode(&c, "rw", Point::new(1, 0), budget, DpMode::Sparse);
+        assert!(matches!(err, Err(DpError::Guard { .. })), "{err:?}");
     }
 }

@@ -21,12 +21,19 @@
 //!   returns) are collapsed by an exact linear solve into per-*move*
 //!   transition entries, so the absorption DP's horizon is the move
 //!   budget, not the (much larger) step count.
-//! * [`absorb`] — the move-indexed forward DP: exact per-trial
+//! * `forward` — the one forward occupancy DP, generic over the clock
+//!   (collapsed per-move rows or raw per-step rows) and the storage (the
+//!   dense budget box, or the sorted sparse frontier of `frontier` with
+//!   its mirror fold, picked per solve by [`DpMode`]). It alone owns
+//!   dead-state skipping, [`PRUNE`]/[`TRUNCATION_TOL`] accounting,
+//!   target absorption and the storage guards.
+//! * [`absorption_cdf_mode`] — the move clock: exact per-trial
 //!   absorption CDFs over the target (success probability within any
 //!   move budget, conditional expected/median moves).
-//! * [`rounds`] — step-indexed DPs for the `observe.rs` metric
-//!   vocabulary: coverage-by-round, first-visit curves, found-round
-//!   curves, and the χ support statistic.
+//! * [`step_absorption_cdf_mode`] / [`visit_survival_curve_mode`] — the
+//!   step clock, for the `observe.rs` metric vocabulary: coverage-by-
+//!   round, first-visit curves and found-round curves; [`chi_support`]
+//!   adds the χ support statistic.
 //! * [`eval`] — the cell evaluator: combines per-strategy CDFs for
 //!   independent mixed populations in closed form
 //!   (`1 − Π(1 − Fᵢ(t))^kᵢ`), averages over the target placement's
@@ -48,29 +55,25 @@ mod absorb;
 mod collapse;
 mod error;
 mod eval;
+mod forward;
 mod frontier;
 mod kernel;
 mod rounds;
 
-pub use absorb::{absorption_cdf, absorption_cdf_mode, AbsorptionCurve};
+pub use absorb::absorption_cdf_mode;
 pub use collapse::{collapse, CollapsedKernel, CollapsedRow, MoveExit};
 pub use error::DpError;
 pub use eval::{
     evaluate, evaluate_with, target_support, DpCellReport, DpMetrics, DpRequest, DpStrategy,
     SolveCache,
 };
-pub use frontier::{
-    sparse_absorption_cdf, sparse_absorption_cdf_stats, sparse_first_landing_cdf, FrontierStats,
-};
+pub use forward::{AbsorptionCurve, FrontierStats};
 pub use kernel::{
     coin_kernel, kernel_fingerprint, mortal_kernel, nonuniform_kernel, pfa_kernel,
     randomwalk_kernel, uniform_kernel, KernelTransition, MarkovKernel, PositionClass, TableKernel,
     UNIFORM_PHASE_CAP,
 };
-pub use rounds::{
-    chi_support, step_absorption_cdf, step_absorption_cdf_mode, visit_survival_curve,
-    visit_survival_curve_mode,
-};
+pub use rounds::{chi_support, step_absorption_cdf_mode, visit_survival_curve_mode};
 
 /// Backend selector surfaced through workload specs and the CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -1,20 +1,23 @@
-//! Step-indexed DPs for the observation-metric vocabulary.
+//! The step clock: curves for the observation-metric vocabulary.
 //!
 //! The observed simulator (`observe.rs` in `ants-sim`) runs every agent
 //! for a fixed number of *rounds* — one kernel step per round — and
 //! records coverage, first visits, and found rounds against that clock.
-//! The DPs here mirror that clock exactly: they propagate the raw
-//! step-indexed kernel (no per-move collapse) and absorb on *move
-//! landings*, matching the recorder's rule that a cell is visited at
-//! round `r` when a move performed in round `r` lands on it (the origin
-//! is recorded at round 0 at spawn; `Origin` teleports do not record).
+//! The curves here mirror that clock exactly: this module lowers the raw
+//! step-indexed kernel (no per-move collapse) for the forward DP
+//! ([`crate::forward`]), which absorbs on *move landings*, matching the
+//! recorder's rule that a cell is visited at round `r` when a move
+//! performed in round `r` lands on it (the origin is recorded at round 0
+//! at spawn; `Origin` teleports do not record). Each `Away` transition
+//! becomes one exit: `Move` and `None` shift the position, `Origin`
+//! jumps to the origin, and a transition into a truncation state is
+//! lost mass.
 //!
-//! Both public curves are first-passage problems solved by the same
-//! dense forward DP:
+//! Both public curves are the same first-passage solve:
 //!
-//! * [`step_absorption_cdf`] — `F(r)` = P(a move has landed on the
+//! * [`step_absorption_cdf_mode`] — `F(r)` = P(a move has landed on the
 //!   target within the first `r` rounds): the found-round curve;
-//! * [`visit_survival_curve`] — `q(r)` = P(a bounds cell is still
+//! * [`visit_survival_curve_mode`] — `q(r)` = P(a bounds cell is still
 //!   unvisited after `r` rounds): the coverage/first-visit ingredient
 //!   (per-cell curves combine across independent agents as `q̄(r)^n`).
 //!
@@ -27,195 +30,80 @@
 //! the simulator's running-max footprint column.
 
 use crate::error::DpError;
+use crate::forward::{solve, Clock, Exit, Row, To};
 use crate::kernel::{MarkovKernel, PositionClass};
+use crate::DpMode;
 use ants_automaton::GridAction;
 use ants_grid::Point;
 
-/// First-landing CDF of `kernel` on `point` over `horizon` rounds:
-/// `out[r]` = P(some move within rounds `1..=r` landed on `point`).
-/// `out[0] = 0`; monotone non-decreasing by construction.
-fn first_landing_cdf(
-    kernel: &dyn MarkovKernel,
-    label: &str,
-    point: Point,
-    horizon: u64,
-) -> Result<Vec<f64>, DpError> {
-    let states = kernel.num_states();
-    let h = horizon as i64;
-    let width = 2 * horizon as usize + 1;
-    if states.checked_mul(width * width).filter(|&e| e <= crate::MAX_TABLE_ENTRIES).is_none() {
-        return Err(DpError::Guard {
-            what: format!(
-                "dense step-DP table for {label} ({states} states x ({width})^2 positions at \
-                 horizon {horizon})"
-            ),
-            limit: crate::MAX_TABLE_ENTRIES,
-            hint: "set dp_mode = \"sparse\" (or --dp-mode sparse) to solve it on the sparse \
-                   frontier, shrink the cell, or use backend = \"mc\""
-                .into(),
-        });
-    }
-    let mut is_trunc = vec![false; states];
-    for &t in kernel.truncation_states() {
-        is_trunc[t] = true;
-    }
+impl Clock for dyn MarkovKernel + '_ {
+    const HORIZON: &'static str = "horizon";
+    const STEP: &'static str = "round";
 
-    let w = width;
-    let idx =
-        |s: usize, x: i64, y: i64| -> usize { (s * w + (x + h) as usize) * w + (y + h) as usize };
-    let mut cur = vec![0.0f64; states * w * w];
-    let mut nxt = vec![0.0f64; states * w * w];
-    cur[idx(kernel.start(), 0, 0)] = 1.0;
-
-    let mut out = Vec::with_capacity(horizon as usize + 1);
-    out.push(0.0);
-    let mut absorbed = 0.0f64;
-    let mut lost = 0.0f64;
-
-    for r in 1..=h {
-        let src_r = r - 1;
-        let dst_r = r.min(h);
-        // Clear the writable sub-box (stale data from two rounds ago).
-        for s in 0..states {
-            for x in -dst_r..=dst_r {
-                let lo = idx(s, x, -dst_r);
-                nxt[lo..=lo + (2 * dst_r) as usize].fill(0.0);
-            }
-        }
-        for s in 0..states {
-            let row = kernel.row(s, PositionClass::Away);
-            if row.is_empty() {
-                continue;
-            }
-            for x in -src_r..=src_r {
-                for y in -src_r..=src_r {
-                    let p = cur[idx(s, x, y)];
-                    if p == 0.0 {
-                        continue;
-                    }
-                    if p < crate::PRUNE {
-                        lost += p;
-                        continue;
-                    }
-                    for t in row {
-                        let mass = p * t.prob;
-                        if mass == 0.0 {
-                            continue;
-                        }
-                        if is_trunc[t.next] {
-                            lost += mass;
-                            continue;
-                        }
-                        match t.action {
-                            GridAction::Move(dir) => {
-                                let (dx, dy) = dir.delta();
-                                let (nx, ny) = (x + dx, y + dy);
-                                if nx == point.x && ny == point.y {
-                                    absorbed += mass;
-                                } else {
-                                    nxt[idx(t.next, nx, ny)] += mass;
-                                }
-                            }
-                            GridAction::None => nxt[idx(t.next, x, y)] += mass,
-                            GridAction::Origin => nxt[idx(t.next, 0, 0)] += mass,
-                        }
-                    }
-                }
-            }
-        }
-        out.push(absorbed);
-        std::mem::swap(&mut cur, &mut nxt);
+    fn lower(&self) -> (Vec<Row>, usize) {
+        let rows = (0..self.num_states())
+            .map(|s| {
+                let each = self
+                    .row(s, PositionClass::Away)
+                    .iter()
+                    .filter(|t| t.prob != 0.0)
+                    .map(|t| {
+                        let (to, (x, y)) = match t.action {
+                            GridAction::Move(dir) => (To::Shift, dir.delta()),
+                            GridAction::None => (To::Shift, (0, 0)),
+                            GridAction::Origin => (To::Jump, (0, 0)),
+                        };
+                        let lost = self.truncation_states().contains(&t.next);
+                        let to = if lost { To::Lost } else { to };
+                        Exit { next: t.next, to, x, y, prob: t.prob }
+                    })
+                    .collect();
+                Row { each, resets: Vec::new(), trunc: 0.0 }
+            })
+            .collect();
+        (rows, self.start())
     }
-
-    if lost > crate::TRUNCATION_TOL {
-        return Err(DpError::Truncation { kernel: label.to_string(), lost });
-    }
-    Ok(out)
 }
 
 /// The found-round curve: `out[r]` = P(the agent has found `target`
-/// within the first `r` rounds of observed stepping).
+/// within the first `r` rounds of observed stepping), on the table
+/// representation `mode` resolves to ([`crate::DpMode::resolve`]).
 ///
 /// # Errors
 ///
-/// [`DpError::Guard`] / [`DpError::Truncation`] as documented on the
-/// module; [`DpError::Unsupported`] for an origin target.
-pub fn step_absorption_cdf(
-    kernel: &dyn MarkovKernel,
-    label: &str,
-    target: Point,
-    horizon: u64,
-) -> Result<Vec<f64>, DpError> {
-    step_absorption_cdf_mode(kernel, label, target, horizon, crate::DpMode::Dense)
-}
-
-/// [`step_absorption_cdf`] with an explicit table representation
-/// (see [`crate::DpMode::resolve`] for how `Auto` picks).
-///
-/// # Errors
-///
-/// As [`step_absorption_cdf`], against the resolved solver.
+/// [`DpError::Guard`] / [`DpError::Truncation`] as
+/// [`crate::absorption_cdf_mode`]; [`DpError::Unsupported`] for an
+/// origin target.
 pub fn step_absorption_cdf_mode(
     kernel: &dyn MarkovKernel,
     label: &str,
     target: Point,
     horizon: u64,
-    mode: crate::DpMode,
+    mode: DpMode,
 ) -> Result<Vec<f64>, DpError> {
-    if target == Point::ORIGIN {
-        return Err(DpError::Unsupported {
-            what: "a found-round curve for an origin target".into(),
-            reason: "targets are never placed on the origin".into(),
-        });
-    }
-    match mode.resolve(kernel.num_states(), horizon) {
-        crate::DpMode::Sparse => {
-            crate::frontier::sparse_first_landing_cdf(kernel, label, target, horizon)
-                .map(|(cdf, _)| cdf)
-        }
-        _ => first_landing_cdf(kernel, label, target, horizon),
-    }
+    solve(kernel, label, target, horizon, mode).map(|curve| curve.cdf)
 }
 
 /// The per-cell survival curve: `out[r]` = P(`cell` is still unvisited
-/// after `r` rounds). The origin is visited at spawn (round 0), so its
-/// curve is identically zero.
+/// after `r` rounds), on the table representation `mode` resolves to.
+/// The origin is visited at spawn (round 0), so its curve is
+/// identically zero.
 ///
 /// # Errors
 ///
-/// [`DpError::Guard`] / [`DpError::Truncation`] as documented on the
-/// module.
-pub fn visit_survival_curve(
-    kernel: &dyn MarkovKernel,
-    label: &str,
-    cell: Point,
-    horizon: u64,
-) -> Result<Vec<f64>, DpError> {
-    visit_survival_curve_mode(kernel, label, cell, horizon, crate::DpMode::Dense)
-}
-
-/// [`visit_survival_curve`] with an explicit table representation
-/// (see [`crate::DpMode::resolve`] for how `Auto` picks).
-///
-/// # Errors
-///
-/// As [`visit_survival_curve`], against the resolved solver.
+/// [`DpError::Guard`] / [`DpError::Truncation`] as
+/// [`crate::absorption_cdf_mode`].
 pub fn visit_survival_curve_mode(
     kernel: &dyn MarkovKernel,
     label: &str,
     cell: Point,
     horizon: u64,
-    mode: crate::DpMode,
+    mode: DpMode,
 ) -> Result<Vec<f64>, DpError> {
     if cell == Point::ORIGIN {
         return Ok(vec![0.0; horizon as usize + 1]);
     }
-    let f = match mode.resolve(kernel.num_states(), horizon) {
-        crate::DpMode::Sparse => {
-            crate::frontier::sparse_first_landing_cdf(kernel, label, cell, horizon)?.0
-        }
-        _ => first_landing_cdf(kernel, label, cell, horizon)?,
-    };
+    let f = solve(kernel, label, cell, horizon, mode)?.cdf;
     Ok(f.into_iter().map(|p| 1.0 - p).collect())
 }
 
@@ -244,17 +132,10 @@ pub fn chi_support(kernel: &dyn MarkovKernel, horizon: u64) -> f64 {
         }
         std::mem::swap(&mut sigma, &mut next);
     }
-    let mut is_trunc = vec![false; states];
-    for &t in kernel.truncation_states() {
-        is_trunc[t] = true;
-    }
-    let mut chi = f64::NEG_INFINITY;
-    for s in 0..states {
-        if acc[s] > crate::CHI_MASS_FLOOR && !is_trunc[s] {
-            chi = chi.max(kernel.chi(s).chi());
-        }
-    }
-    chi
+    (0..states)
+        .filter(|&s| acc[s] > crate::CHI_MASS_FLOOR && !kernel.truncation_states().contains(&s))
+        .map(|s| kernel.chi(s).chi())
+        .fold(f64::NEG_INFINITY, f64::max)
 }
 
 #[cfg(test)]
@@ -269,9 +150,12 @@ mod tests {
         // For the random walk every step is a move, so the step-indexed
         // curve equals the move-indexed one.
         let k = randomwalk_kernel();
-        let by_round = step_absorption_cdf(&k, "rw", Point::new(1, 0), 6).unwrap();
+        let by_round =
+            step_absorption_cdf_mode(&k, "rw", Point::new(1, 0), 6, DpMode::Dense).unwrap();
         let collapsed = crate::collapse::collapse(&k).unwrap();
-        let by_move = crate::absorb::absorption_cdf(&collapsed, "rw", Point::new(1, 0), 6).unwrap();
+        let by_move =
+            crate::absorption_cdf_mode(&collapsed, "rw", Point::new(1, 0), 6, DpMode::Dense)
+                .unwrap();
         for (r, (a, b)) in by_round.iter().zip(by_move.cdf.iter()).enumerate() {
             assert!((a - b).abs() < 1e-15, "round {r}: {a} vs {b}");
         }
@@ -282,10 +166,12 @@ mod tests {
         // Coin flips consume rounds without moving, so the round-indexed
         // CDF is pointwise at most the move-indexed one.
         let k = nonuniform_kernel(4).unwrap();
-        let by_round = step_absorption_cdf(&k, "nu", Point::new(1, 1), 24).unwrap();
+        let by_round =
+            step_absorption_cdf_mode(&k, "nu", Point::new(1, 1), 24, DpMode::Dense).unwrap();
         let collapsed = crate::collapse::collapse(&k).unwrap();
         let by_move =
-            crate::absorb::absorption_cdf(&collapsed, "nu", Point::new(1, 1), 24).unwrap();
+            crate::absorption_cdf_mode(&collapsed, "nu", Point::new(1, 1), 24, DpMode::Dense)
+                .unwrap();
         for (r, (&br, &bm)) in by_round.iter().zip(by_move.cdf.iter()).enumerate() {
             assert!(br <= bm + 1e-15, "round {r}: {br} > {bm}");
         }
@@ -295,9 +181,10 @@ mod tests {
     #[test]
     fn visit_survival_origin_is_zero_and_neighbours_decay() {
         let k = randomwalk_kernel();
-        let at_origin = visit_survival_curve(&k, "rw", Point::ORIGIN, 8).unwrap();
+        let at_origin =
+            visit_survival_curve_mode(&k, "rw", Point::ORIGIN, 8, DpMode::Dense).unwrap();
         assert!(at_origin.iter().all(|&q| q == 0.0));
-        let near = visit_survival_curve(&k, "rw", Point::new(0, 1), 8).unwrap();
+        let near = visit_survival_curve_mode(&k, "rw", Point::new(0, 1), 8, DpMode::Dense).unwrap();
         assert_eq!(near[0], 1.0);
         assert_eq!(near[1], 0.75);
         for r in 1..near.len() {
@@ -309,7 +196,8 @@ mod tests {
     fn mortal_survival_freezes() {
         let inner = randomwalk_kernel();
         let k = mortal_kernel(&inner, 2).unwrap();
-        let q = visit_survival_curve(&k, "mortal", Point::new(0, 1), 6).unwrap();
+        let q =
+            visit_survival_curve_mode(&k, "mortal", Point::new(0, 1), 6, DpMode::Dense).unwrap();
         for r in 2..q.len() {
             assert_eq!(q[r], q[2], "round {r}");
         }

@@ -13,9 +13,9 @@
 
 use ants_automaton::library;
 use ants_dp::{
-    absorption_cdf, coin_kernel, collapse, mortal_kernel, nonuniform_kernel, pfa_kernel,
-    randomwalk_kernel, step_absorption_cdf, uniform_kernel, MarkovKernel, PositionClass,
-    TableKernel, UNIFORM_PHASE_CAP,
+    absorption_cdf_mode, coin_kernel, collapse, mortal_kernel, nonuniform_kernel, pfa_kernel,
+    randomwalk_kernel, step_absorption_cdf_mode, uniform_kernel, DpMode, MarkovKernel,
+    PositionClass, TableKernel, UNIFORM_PHASE_CAP,
 };
 use ants_grid::Point;
 use proptest::prelude::*;
@@ -120,7 +120,7 @@ proptest! {
         let target = if tx == 0 && ty == 0 { Point::new(1, 0) } else { Point::new(tx, ty) };
         let k = zoo_kernel(which);
         let c = collapse(&k).unwrap();
-        let curve = absorption_cdf(&c, k.label(), target, budget).unwrap();
+        let curve = absorption_cdf_mode(&c, k.label(), target, budget, DpMode::Dense).unwrap();
         prop_assert_eq!(curve.cdf.len(), budget as usize + 1);
         prop_assert_eq!(curve.cdf[0], 0.0);
         for m in 1..curve.cdf.len() {
@@ -140,13 +140,14 @@ proptest! {
     ) {
         let target = Point::new(1, 1);
         let k = zoo_kernel(which);
-        let by_round = step_absorption_cdf(&k, k.label(), target, horizon).unwrap();
+        let by_round =
+            step_absorption_cdf_mode(&k, k.label(), target, horizon, DpMode::Dense).unwrap();
         for r in 1..by_round.len() {
             prop_assert!(by_round[r] >= by_round[r - 1]);
         }
         // Found within r rounds implies found within r moves.
         let c = collapse(&k).unwrap();
-        let by_move = absorption_cdf(&c, k.label(), target, horizon).unwrap();
+        let by_move = absorption_cdf_mode(&c, k.label(), target, horizon, DpMode::Dense).unwrap();
         for (r, (&br, &bm)) in by_round.iter().zip(by_move.cdf.iter()).enumerate() {
             prop_assert!(
                 br <= bm + 1e-12,

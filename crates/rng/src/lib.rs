@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffered;
 mod coin;
 mod composite;
 mod dyadic;
@@ -51,7 +50,6 @@ mod splitmix;
 pub mod stats;
 mod xoshiro;
 
-pub use buffered::{BufferedRng, BUF_WORDS};
 pub use coin::{BiasedCoin, Coin, Flip};
 pub use composite::CompositeCoin;
 pub use dyadic::{DyadicError, DyadicProb};
@@ -64,13 +62,7 @@ pub use xoshiro::Xoshiro256PlusPlus;
 
 /// The default PRNG used across the workspace.
 ///
-/// An alias so downstream crates can switch generators in one place —
-/// e.g. to wrap the generator in the batching [`BufferedRng`] adaptor
-/// (stream-preserving, so the simulator's golden tests hold across the
-/// swap). The bare generator is the measured winner here: serving draws
-/// from a buffer costs a memory round-trip per word that xoshiro's
-/// register-only update beats (~15% on the simulator's hot loop,
-/// `BENCH_sweep.json` v3), so the buffer stays opt-in.
+/// An alias so downstream crates can switch generators in one place.
 pub type DefaultRng = Xoshiro256PlusPlus;
 
 /// Derive a deterministic per-entity RNG from a base seed and an index.

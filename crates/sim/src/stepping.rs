@@ -57,11 +57,7 @@ pub struct StepOutcome {
 /// is being stepped — move caps, round horizons, and observation
 /// windows are caller policy.
 ///
-/// The RNG stream is a [`DefaultRng`] drawn one word per transition;
-/// batching draws through [`ants_rng::BufferedRng`] is stream-preserving
-/// and therefore trajectory-preserving, but measured slower than the
-/// bare generator on this loop (`BENCH_sweep.json` v3), so the alias
-/// stays unbuffered.
+/// The RNG stream is a [`DefaultRng`] drawn one word per transition.
 pub struct AgentStepper {
     strategy: Box<dyn SearchStrategy>,
     rng: DefaultRng,
