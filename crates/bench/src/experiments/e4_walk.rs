@@ -7,7 +7,7 @@
 //!
 //! Implements [`Experiment`]; the walk sampling is bespoke (no scenario
 //! engine), so it routes through [`ants_sim::map_indexed`] — the
-//! engine's agent-level scheduling primitive — instead of `run_sweep`:
+//! engine's agent-level scheduling primitive — instead of `run_sweep_with`:
 //! per-sample seeds are derived by index and the per-chunk results are
 //! reduced in canonical index order, so the histogram is byte-identical
 //! at every thread count. Each lemma check reports its measured value

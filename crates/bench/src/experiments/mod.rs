@@ -7,7 +7,7 @@
 //! module that is not registered fails CI (`tests/registry.rs`).
 //!
 //! Experiments collect their sweeps as typed
-//! [`Records`](ants_sim::report::Records) inside a [`Report`] (numbers
+//! [`Records`] inside a [`Report`] (numbers
 //! stay `f64`/`u64` until render time) and route scenario grids through
 //! [`ants_sim::run_sweep_with`], so one shared thread pool drains the whole
 //! grid; see [`crate::runner`] for wall-clock stamping and JSON output.

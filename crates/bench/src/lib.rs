@@ -7,7 +7,7 @@
 //! CSV, and JSON all derive from the same records). The shared
 //! [`Runner`] stamps wall-clock times and writes
 //! `target/reports/<id>.json`; scenario grids fan across one thread pool
-//! via `ants_sim::run_sweep`. Tests run every experiment at
+//! via `ants_sim::run_sweep_with`. Tests run every experiment at
 //! [`Effort::Smoke`] so the whole battery stays exercised in CI.
 //!
 //! The paper is a theory paper — its "tables and figures" are the

@@ -1,6 +1,5 @@
 //! The shared experiment runner: wall-clock stamping, JSON report files,
-//! and the flag parsing the CLI and the 15 `exp_*` binaries have in
-//! common.
+//! and the flag parsing shared by the CLI's experiment commands.
 
 use crate::experiments::{self, Effort, Experiment, Report, RunConfig};
 use ants_sim::Granularity;
@@ -51,7 +50,7 @@ impl Runner {
     }
 }
 
-/// Flags shared by `ants run`/`ants all` and the `exp_*` binaries.
+/// Flags shared by `ants run`/`ants all`.
 #[derive(Debug, Clone)]
 pub struct Flags {
     /// Effort, seed, and thread policy (plus the telemetry handle when
@@ -194,36 +193,6 @@ pub fn write_telemetry(flags: &Flags) {
             std::process::exit(1);
         }
     }
-}
-
-/// Entry point for the 15 `exp_*` binaries: parse flags, run the one
-/// experiment at publication scale (or `--smoke`), print, and honour
-/// `--csv`/`--json`/`--telemetry`.
-pub fn bin_main(exp: &dyn Experiment) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = match parse_flags(&args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!(
-                "error: {e}\nusage: {} [--smoke | --effort smoke|standard] [--seed N] \
-                 [--threads K] [--granularity auto|trial|agent] [--chunk N] \
-                 [--metrics coverage,first_visit,round_trace,chi,found_round] [--csv] [--json] \
-                 [--telemetry PATH]",
-                exp.meta().key
-            );
-            std::process::exit(2);
-        }
-    };
-    if flags.cfg.backend == Some(ants_dp::Backend::Dp) {
-        eprintln!(
-            "error: {} is a Monte Carlo harness; --backend dp only applies to workload \
-             cells (`ants workload run <file> --backend dp`)",
-            exp.meta().key
-        );
-        std::process::exit(2);
-    }
-    emit_for(&Runner::new(flags.cfg).run(exp), &flags);
-    write_telemetry(&flags);
 }
 
 #[cfg(test)]

@@ -210,7 +210,7 @@ impl WorkloadExperiment {
     /// daemon pushes each row to its client the moment it exists).
     ///
     /// Scheduling options come from the caller rather than
-    /// `cfg.sweep_options()` so a [`Probe`](ants_sim::Probe) can ride
+    /// `cfg.sweep_options()` so a caller-owned telemetry handle can ride
     /// along. Per-cell sweeps schedule differently from the batched
     /// sweep `try_run` issues, but the engine's determinism contract
     /// makes results byte-identical across schedules — a streamed report

@@ -59,10 +59,9 @@ fn telemetry_is_invariant_across_schedulers() {
 }
 
 /// The handle attached through [`RunConfig`] really observes the sweep:
-/// pool units, engine steps, and phase spans are all nonzero after a
-/// parallel agent-granularity run (and steals appear at 4 threads,
-/// where the cursor rebalances work off its static home).
-#[cfg(feature = "parallel")]
+/// pool units, engine steps, and phase spans are all nonzero after an
+/// agent-granularity run — with or without the `parallel` feature, since
+/// units count on the inline path too.
 #[test]
 fn attached_telemetry_observes_the_sweep() {
     let tele = Telemetry::new();

@@ -34,7 +34,7 @@
 //!   step clock, for the `observe.rs` metric vocabulary: coverage-by-
 //!   round, first-visit curves and found-round curves; [`chi_support`]
 //!   adds the χ support statistic.
-//! * [`eval`] — the cell evaluator: combines per-strategy CDFs for
+//! * `eval` — the cell evaluator: combines per-strategy CDFs for
 //!   independent mixed populations in closed form
 //!   (`1 − Π(1 − Fᵢ(t))^kᵢ`), averages over the target placement's
 //!   enumerated support, and emits the same row vocabulary as the

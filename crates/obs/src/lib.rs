@@ -12,7 +12,7 @@
 //! * **Zero cost when absent.** Producers hold an `Option<Telemetry>`;
 //!   the hot path pays one branch per *work unit*, never per step.
 //! * **No contention when present.** Counters are sharded per worker
-//!   into [`align(64)`](Shard)-padded cache lines, so two workers never
+//!   into `align(64)`-padded cache lines, so two workers never
 //!   bounce a line; increments are relaxed `fetch_add`s on the worker's
 //!   own shard.
 //! * **Copyable handle.** [`Telemetry`] is `Copy` (a `&'static` to

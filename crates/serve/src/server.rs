@@ -2,8 +2,8 @@
 //! discipline.
 //!
 //! * **Hits never touch the pool.** A cached entry is replayed straight
-//!   off disk — no lock, no scheduling, zero sweep work (the probe-based
-//!   counter in `stats` proves it).
+//!   off disk — no lock, no scheduling, zero sweep work (the
+//!   `pool_work` counter in `stats` proves it).
 //! * **Misses serialize on one pool mutex.** The sweep pool already
 //!   fans a single workload across every core; running two workloads'
 //!   pools concurrently would just fight over the same cores. Connection
@@ -19,7 +19,7 @@ use crate::protocol::{cell_event, error_event, status_event, Op, Request};
 use ants_bench::{gate_report, RunConfig, WorkloadExperiment};
 use ants_obs::{Counter, Gauge, LatencyKind, Telemetry};
 use ants_sim::json::{escape, Json};
-use ants_sim::{Granularity, Probe, SweepOptions};
+use ants_sim::{Granularity, SweepOptions};
 use ants_workload::{WorkloadPlan, WorkloadSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -66,9 +66,9 @@ pub struct Stats {
     pub hits: u64,
     /// Submissions computed on the pool.
     pub misses: u64,
-    /// Cumulative agent steps the sweep pool executed (probe-counted;
-    /// stays 0 without the `parallel` feature, where the probe hooks
-    /// compile out).
+    /// Cumulative agent steps the sweep pool executed: the daemon
+    /// telemetry's `engine_steps` counter, which every Monte-Carlo work
+    /// unit adds to at any thread count. A hit leaves it unchanged.
     pub pool_work: u64,
     /// Cache entries on disk.
     pub entries: u64,
@@ -77,16 +77,15 @@ pub struct Stats {
 struct State {
     opts: ServeOptions,
     addr: SocketAddr,
-    /// One probe for the daemon's lifetime: `pool_work` is cumulative,
-    /// so "a hit did zero pool work" is observable as an unchanged
-    /// counter across the request.
-    probe: Arc<Probe>,
     /// One telemetry handle for the daemon's lifetime: per-op request
     /// counters, hit/miss latency histograms, cache gauges, plus the
     /// pool/engine counters of every miss sweep (attached via
     /// [`SweepOptions::with_telemetry`]). Surfaced as the `telemetry`
-    /// block of the `stats` event. Strictly observational: cache keys,
-    /// report bytes, and the gate never read it.
+    /// block of the `stats` event, and as `pool_work`: the counters are
+    /// cumulative, so "a hit did zero pool work" is observable as an
+    /// unchanged `engine_steps` across the request. Strictly
+    /// observational: cache keys, report bytes, and the gate never read
+    /// it.
     telemetry: Telemetry,
     /// One DP curve memo for the daemon's lifetime: exact-backend cells
     /// reuse solves *across* submissions (keyed by kernel fingerprint,
@@ -129,7 +128,7 @@ impl State {
             requests: self.requests.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            pool_work: self.probe.work(),
+            pool_work: self.telemetry.counter(Counter::EngineSteps),
             entries,
         }
     }
@@ -192,7 +191,6 @@ impl Server {
         let state = Arc::new(State {
             opts,
             addr,
-            probe: Probe::new(),
             telemetry: Telemetry::new(),
             dp_memo: ants_workload::dp::DpMemo::new(),
             pool: Mutex::new(()),
@@ -373,7 +371,6 @@ fn submit(out: &mut TcpStream, state: &State, req: &Request) -> Result<SubmitOut
     exp.validate_backends(&cfg).map_err(|e| e.to_string())?;
     let mut sweep = SweepOptions::with_threads(cfg.threads)
         .granularity(cfg.granularity)
-        .with_probe(Arc::clone(&state.probe))
         .with_telemetry(state.telemetry);
     if let Some(chunk) = cfg.chunk {
         sweep = sweep.chunk(chunk);
@@ -403,9 +400,6 @@ fn submit(out: &mut TcpStream, state: &State, req: &Request) -> Result<SubmitOut
     state.telemetry.incr(0, Counter::ServeMisses);
     state.telemetry.record_latency(LatencyKind::Miss, t0.elapsed());
     state.refresh_cache_gauges();
-    // Drop the probe's per-unit event log so a long-lived daemon does
-    // not accumulate it; the work counter is separate and survives.
-    let _ = state.probe.take();
     Ok(SubmitOutcome { key, wkey, report_json })
 }
 

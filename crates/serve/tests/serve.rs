@@ -8,7 +8,7 @@ use ants_serve::{request_lines, ServeOptions, Server};
 use ants_sim::json::Json;
 use std::path::PathBuf;
 
-/// A Monte Carlo spec, so misses do real pool work the probe can count.
+/// A Monte Carlo spec, so misses do real pool work `pool_work` counts.
 const MC_SPEC: &str = "\
 name = \"serve e2e\"
 description = \"serve integration workload\"
@@ -52,16 +52,20 @@ struct Daemon {
 }
 
 impl Daemon {
+    /// A daemon whose misses run on two workers, so they exercise the
+    /// spawned pool even on a single-core machine.
     fn start(tag: &str) -> Daemon {
+        Daemon::with_threads(tag, 2)
+    }
+
+    /// A daemon whose misses run on `threads` workers. Results are
+    /// byte-identical at every count (the determinism contract).
+    fn with_threads(tag: &str, threads: usize) -> Daemon {
         let cache =
             std::env::temp_dir().join(format!("ants-serve-e2e-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&cache);
-        // Pin two workers: on a single-core machine the sweep would
-        // otherwise take its serial fallback, where the probe hooks
-        // never fire and "zero pool work" would hold vacuously. Results
-        // are byte-identical either way (the determinism contract).
         let mut opts = ServeOptions::new(&cache);
-        opts.threads = Some(2);
+        opts.threads = Some(threads);
         let server = Server::bind(opts, "127.0.0.1:0").expect("bind loopback");
         let addr = server.local_addr().to_string();
         let thread = Some(std::thread::spawn(move || server.run()));
@@ -108,15 +112,26 @@ fn split(lines: &[String]) -> (Json, Vec<String>) {
     (Json::parse(&lines[0]).unwrap(), lines[1..].to_vec())
 }
 
+/// Checked on two workers and on one, where misses run inline on the
+/// calling thread: the miss counts its work either way, so the hit's
+/// unchanged `pool_work` is not vacuous.
 #[test]
 fn identical_resubmission_is_a_byte_identical_hit_with_zero_pool_work() {
-    let d = Daemon::start("hit");
+    for threads in [2, 1] {
+        resubmission_hits_with_zero_pool_work(threads);
+    }
+}
+
+fn resubmission_hits_with_zero_pool_work(threads: usize) {
+    let d = Daemon::with_threads(&format!("hit{threads}"), threads);
     let first = d.send(&smoke_submit(MC_SPEC));
     let (status, body) = split(&first);
     assert_eq!(status.get("cached"), Some(&Json::Bool(false)), "first submit is a miss");
     let work_after_miss = d.stat("pool_work");
-    #[cfg(feature = "parallel")]
-    assert!(work_after_miss > 0.0, "an MC miss must run agent steps on the pool");
+    assert!(
+        work_after_miss > 0.0,
+        "an MC miss must run agent steps on the pool ({threads} workers)"
+    );
 
     let second = d.send(&smoke_submit(MC_SPEC));
     let (status2, body2) = split(&second);

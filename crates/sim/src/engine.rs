@@ -294,16 +294,16 @@ impl ChunkRun {
     }
 
     /// Steps actually simulated across the chunk's agents — the work
-    /// instrumentation behind the speculation-tax tests and the probe's
-    /// work counter. Timing-dependent under a live [`CapHint`] (a hint
-    /// arriving earlier stops speculative agents sooner); never part of a
-    /// [`TrialResult`].
+    /// instrumentation behind the speculation-tax tests and the
+    /// `engine_steps` telemetry counter. Timing-dependent under a live
+    /// [`CapHint`] (a hint arriving earlier stops speculative agents
+    /// sooner); never part of a [`TrialResult`].
     pub fn work(&self) -> u64 {
         self.agents.iter().map(|a| a.work).sum()
     }
 
     /// Aggregated [`CapHint`] effectiveness counters for this chunk —
-    /// observability only (see [`HintStats`]); reductions never read
+    /// observability only (see `HintStats`); reductions never read
     /// them.
     pub fn hint_stats(&self) -> HintStats {
         self.hint
@@ -361,7 +361,7 @@ impl ChunkRun {
 ///   caps (their local prefix best, lowered toward the serial cap by the
 ///   shared [`CapHint`] but never below it), and record running-max
 ///   footprint breakpoints per move; the reduction evaluates each agent's
-///   footprint at its exact serial stop via [`ChunkRun::chi_at`]. Chunk
+///   footprint at its exact serial stop via `ChunkRun::chi_at`. Chunk
 ///   0's local caps equal the serial caps, so it skips tracking entirely
 ///   — a single-chunk plan is the serial engine, unchanged.
 pub struct TrialPlan<'a> {
@@ -598,10 +598,10 @@ pub fn run_trial(scenario: &Scenario, trial_seed: u64) -> TrialResult {
     TrialPlan::new(scenario, trial_seed, scenario.n_agents()).run()
 }
 
-/// Derive the per-trial seed sequence for `run_trials`.
+/// Derive the per-trial seed sequence of a sweep job.
 ///
 /// Pre-deriving all seeds from a [`SplitMix64`] stream is the determinism
-/// contract: the result of `run_trials` is a pure function of
+/// contract: a job's outcome is a pure function of
 /// `(scenario, n_trials, base_seed)`, independent of thread count, build
 /// features, or scheduling.
 pub(crate) fn trial_seeds(n_trials: u64, base_seed: u64) -> Vec<u64> {
@@ -611,78 +611,18 @@ pub(crate) fn trial_seeds(n_trials: u64, base_seed: u64) -> Vec<u64> {
 
 /// Run every trial on the calling thread, in seed order.
 ///
-/// This is the reference implementation `run_trials` and
-/// [`crate::sched::run_sweep_with`] must agree with byte-for-byte; the
-/// golden determinism test compares them.
+/// This is the reference implementation [`run_trials`](crate::run_trials)
+/// and [`run_sweep_with`](crate::run_sweep_with) must agree with
+/// byte-for-byte; the golden determinism test compares them.
 pub fn run_trials_serial(scenario: &Scenario, n_trials: u64, base_seed: u64) -> Outcome {
     let trials = trial_seeds(n_trials, base_seed).iter().map(|&s| run_trial(scenario, s)).collect();
     Outcome::new(trials)
 }
 
-/// Resolve a thread policy to a concrete count.
-///
-/// `None` means "all available cores"; explicit counts are honoured as
-/// given (an oversubscribed count is allowed — useful for benchmarking
-/// the scheduling overhead). Both are clamped to `1..=64`.
-#[cfg(feature = "parallel")]
-pub(crate) fn resolve_threads(threads: Option<usize>) -> usize {
-    threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-        .clamp(1, 64)
-}
-
-/// Run `n_trials` independent trials with deterministic per-trial seeds
-/// derived from `base_seed`.
-///
-/// With the default-on `parallel` feature the trials are spread across the
-/// machine's cores (`std::thread::scope`; chunked, results re-assembled in
-/// seed order), so the outcome is byte-identical to
-/// [`run_trials_serial`] — parallelism changes wall-clock time only.
-pub fn run_trials(scenario: &Scenario, n_trials: u64, base_seed: u64) -> Outcome {
-    run_trials_with(scenario, n_trials, base_seed, None)
-}
-
-/// [`run_trials`] with an explicit thread policy: `Some(k)` pins the
-/// worker count, `None` uses all available cores.
-///
-/// The result is byte-identical across all thread policies (per-trial
-/// seeds are pre-derived); without the `parallel` feature the policy is
-/// ignored and the run is serial.
-pub fn run_trials_with(
-    scenario: &Scenario,
-    n_trials: u64,
-    base_seed: u64,
-    threads: Option<usize>,
-) -> Outcome {
-    #[cfg(feature = "parallel")]
-    {
-        let threads = resolve_threads(threads);
-        if threads > 1 && n_trials >= 4 {
-            let seeds = trial_seeds(n_trials, base_seed);
-            let chunk_len = n_trials.div_ceil(threads as u64) as usize;
-            let chunks: Vec<&[u64]> = seeds.chunks(chunk_len).collect();
-            let results: Vec<Vec<TrialResult>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk.iter().map(|&s| run_trial(scenario, s)).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("trial worker panicked")).collect()
-            });
-            return Outcome::new(results.into_iter().flatten().collect());
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = threads;
-    run_trials_serial(scenario, n_trials, base_seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_trials;
     use ants_core::baselines::{RandomWalk, SpiralSearch};
     use ants_core::NonUniformSearch;
     use ants_grid::TargetPlacement;
@@ -784,16 +724,6 @@ mod tests {
         let r = run_trial(&s, 11);
         assert!(r.found());
         assert!(r.winner.unwrap() < 4);
-    }
-
-    #[test]
-    fn run_trials_with_is_thread_count_invariant() {
-        let s = spiral_scenario(4, 2);
-        let reference = run_trials_serial(&s, 12, 77);
-        for threads in [Some(1), Some(2), Some(5), None] {
-            let outcome = run_trials_with(&s, 12, 77, threads);
-            assert_eq!(outcome.trials(), reference.trials(), "threads {threads:?} diverged");
-        }
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! * [`Scenario`] — a complete experiment description: `n` agents, a
 //!   strategy factory, a target model, a move budget;
 //! * [`run_trial`] / [`run_trials`] — execute independent trials
-//!   (deterministically seeded, optionally across threads) and report the
+//!   (deterministically seeded, across the sweep pool) and report the
 //!   paper's metrics `M_moves` and `M_steps` (the minimum over agents of
 //!   moves/steps until the target is found); [`TrialPlan`] splits one
-//!   trial into deterministic agent chunks;
-//! * [`run_sweep`] / [`run_sweep_with`] — batch a whole parameter grid of
-//!   scenarios ([`SweepJob`]s) across one shared work-stealing pool at
-//!   trial or agent granularity ([`Scheduler`], [`Granularity`]),
-//!   byte-identical to running each cell serially;
+//!   trial into deterministic agent chunks; [`run_trials_serial`] is the
+//!   serial reference every pooled run must match;
+//! * [`run_sweep_with`] — batch a whole parameter grid of scenarios
+//!   ([`SweepJob`]s) across one shared work-stealing pool at trial or
+//!   agent granularity ([`Scheduler`], [`Granularity`], [`SweepOptions`]),
+//!   byte-identical to running each cell serially; [`run_trials`] is the
+//!   one-job case;
 //! * [`Summary`] — aggregate statistics with confidence intervals;
 //! * [`AgentStepper`] — the one stepping core every execution mode
 //!   drives (trial engine, round model, observation layer): one call,
@@ -74,9 +76,7 @@ mod scenario;
 mod sched;
 mod stepping;
 
-pub use engine::{
-    run_trial, run_trials, run_trials_serial, run_trials_with, CapHint, ChunkRun, TrialPlan,
-};
+pub use engine::{run_trial, run_trials_serial, CapHint, ChunkRun, TrialPlan};
 pub use metrics::{Outcome, Summary, TrialResult};
 pub use observe::{
     observe_factory, observe_trial, FirstFind, FirstVisitGrid, Metric, MetricSet, Observation,
@@ -85,7 +85,7 @@ pub use observe::{
 pub use rounds::RoundExecutor;
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioError, StrategyFactory};
 pub use sched::{
-    map_indexed, run_observed_sweep, run_sweep, run_sweep_with, Granularity, ObservedJob, Probe,
-    ProbeEvent, Scheduler, SweepJob, SweepOptions, DEFAULT_AGENT_CHUNK,
+    map_indexed, run_observed_sweep, run_sweep_with, run_trials, Granularity, ObservedJob,
+    Scheduler, SweepJob, SweepOptions, DEFAULT_AGENT_CHUNK,
 };
 pub use stepping::{AgentStepper, StepOutcome};

@@ -13,7 +13,7 @@
 //!   [`ObserverSpec::FirstVisitTimes`], [`ObserverSpec::RoundTrace`]);
 //! * an observed run advances every agent of a trial for a fixed
 //!   *round horizon* (one round = one Markov transition per agent) on
-//!   the [`crate::stepping`] core, feeding each observer;
+//!   the stepping core ([`AgentStepper`]), feeding each observer;
 //! * every observer's accumulated [`Observation`] declares a canonical
 //!   [`Observation::merge`], so observations over *agent chunks* reduce
 //!   exactly like trial results do in the engine — byte-identical at

@@ -1,44 +1,41 @@
-//! Deterministic scheduling of sweep work across one shared thread pool.
+//! Deterministic scheduling of sweep work across one shared pool.
 //!
-//! [`run_sweep_with`] flattens a batch of [`SweepJob`]s into work units —
-//! whole trials, or fixed-size agent chunks of a [`TrialPlan`] — and
-//! drains them through `std` worker threads pulling from a lock-free
-//! chunk queue (an atomic cursor over the unit list: idle workers steal
-//! the next unexecuted chunk, so the pool load-balances without
-//! barriers). Agent-level trials are then reduced in canonical
-//! (job, trial, chunk) order over the same pool, so every outcome is
-//! byte-identical to the serial reference at every thread count,
-//! granularity, and chunk size.
+//! Every sweep — [`run_sweep_with`], [`run_observed_sweep`], and
+//! [`run_trials`] as a one-job sweep — runs through the same four steps:
 //!
-//! The unit of work per job is picked by [`Scheduler::plan`]: many-trial
-//! jobs parallelise perfectly well at trial granularity, while few-trial
-//! / many-agent jobs (E4's walk sampling, E7's uniform sweeps, E9's
-//! trade-off zoo at large `n`) would serialise onto one core unless their
-//! trials are split into agent chunks.
+//! 1. **Plan.** [`Scheduler::plan`] picks each job's unit of work once.
+//!    Many-trial jobs parallelise perfectly well at trial granularity,
+//!    while few-trial / many-agent jobs (E4's walk sampling, E7's uniform
+//!    sweeps, E9's trade-off zoo at large `n`) would serialise onto one
+//!    core unless their trials are split into agent chunks.
+//! 2. **Lay out.** The jobs flatten into work units — one agent range of
+//!    one trial each — in canonical (job, trial, chunk) order. A
+//!    trial-level trial is the one-chunk case.
+//! 3. **Drain.** Workers pull units off a lock-free queue (an atomic
+//!    cursor over the unit list: idle workers steal the next unexecuted
+//!    unit, so the pool load-balances without barriers). With one worker,
+//!    or without the `parallel` feature, the units run inline on the
+//!    calling thread. A one-unit trial is reduced right there.
+//! 4. **Reduce.** Each chunked trial's units are reduced in canonical
+//!    chunk order over the same pool.
+//!
+//! Every outcome is therefore byte-identical to the serial reference at
+//! every thread count, granularity, and chunk size.
 
-use crate::engine::run_trials_serial;
+use crate::engine::{trial_seeds, CapHint, TrialPlan};
 use crate::metrics::Outcome;
-use crate::observe::{observe_trial, ObserverSpec, TrialObservations};
+use crate::observe::{observe_chunk, ObserverSpec, TrialObservations};
 use crate::scenario::Scenario;
-use ants_obs::Telemetry;
-use std::sync::{Arc, Mutex};
-
-use crate::engine::trial_seeds;
-#[cfg(feature = "parallel")]
-use crate::engine::{resolve_threads, ChunkRun, TrialPlan};
-#[cfg(feature = "parallel")]
-use crate::metrics::TrialResult;
-#[cfg(feature = "parallel")]
-use crate::observe::observe_chunk;
-#[cfg(feature = "parallel")]
-use ants_obs::{Counter, Phase, PlanDecision, SpanGuard};
+use ants_obs::{Counter, Phase, PlanDecision, SpanGuard, Telemetry};
+use std::ops::Range;
 
 /// One cell of a batched scenario sweep: a scenario plus its trial count
 /// and base seed.
 ///
-/// The contract is that `run_sweep(&jobs, _)[i]` is byte-identical to
-/// `run_trials_serial(&jobs[i].scenario, jobs[i].trials, jobs[i].seed)` —
-/// batching changes wall-clock time only.
+/// The contract is that `run_sweep_with(&jobs, _)[i]` is byte-identical
+/// to [`run_trials_serial`](crate::run_trials_serial)`(&jobs[i].scenario,
+/// jobs[i].trials, jobs[i].seed)` — batching changes wall-clock time
+/// only.
 pub struct SweepJob {
     /// The scenario to run.
     pub scenario: Scenario,
@@ -61,9 +58,10 @@ impl SweepJob {
 ///
 /// The contract mirrors [`SweepJob`]'s: per job, per trial, the pooled
 /// result is byte-identical to
-/// `observe_trial(&job.scenario, seed, job.rounds, &job.specs)` at every
-/// thread count, granularity, and chunk size — each observer's canonical
-/// merge reduces agent-chunk observations exactly like trial results.
+/// [`observe_trial`](crate::observe_trial)`(&job.scenario, seed,
+/// job.rounds, &job.specs)` at every thread count, granularity, and chunk
+/// size — each observer's canonical merge reduces agent-chunk
+/// observations exactly like trial results.
 pub struct ObservedJob {
     /// The scenario to observe.
     pub scenario: Scenario,
@@ -134,10 +132,10 @@ pub const DEFAULT_AGENT_CHUNK: usize = 8;
 
 /// Per-trial work proxy (agents × move budget) below which a trial is
 /// never worth splitting: the per-chunk scheduling overhead would rival
-/// the simulation itself. With the shared [`CapHint`](crate::CapHint)
-/// bounding the speculation tax, this floor only guards against
-/// scheduling overhead, not redundant work, so it sits far lower than it
-/// did when speculative chunks could redo `n_chunks ×` the serial work.
+/// the simulation itself. With the shared [`CapHint`] bounding the
+/// speculation tax, this floor only guards against scheduling overhead,
+/// not redundant work, so it sits far lower than it did when speculative
+/// chunks could redo `n_chunks ×` the serial work.
 const AGENT_SPLIT_WEIGHT: u64 = 1 << 12;
 
 /// Auto-granularity splits a job into agent chunks whenever the sweep's
@@ -146,12 +144,10 @@ const AGENT_SPLIT_WEIGHT: u64 = 1 << 12;
 /// leave workers idle — exactly what agent chunks fill.
 const POOL_SATURATION: u64 = 4;
 
-/// How one [`SweepJob`]'s trials are executed.
+/// How one sweep job's trials are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
-    /// Everything on the calling thread.
-    Serial,
-    /// One work unit per trial (the PR-2 behaviour).
+    /// One work unit per trial.
     TrialLevel,
     /// One work unit per (trial, agent chunk), reduced canonically.
     AgentLevel {
@@ -161,48 +157,29 @@ pub enum Scheduler {
 }
 
 impl Scheduler {
-    /// Pick a scheduler for one job under `opts` with `threads` workers,
-    /// inside a sweep holding `sweep_trials` trial units in total.
+    /// Pick a scheduler for one job of `agents` agents whose trials cost
+    /// about `weight` each (agents × move budget for a [`SweepJob`],
+    /// agents × rounds for an [`ObservedJob`], whose agents always run
+    /// the full horizon), under `opts` with `threads` workers, inside a
+    /// sweep holding `sweep_trials` trials in total.
     ///
     /// A forced granularity (`--granularity trial|agent`) is honoured at
     /// *any* thread count — a single-worker agent-level run is how the
     /// speculation tests measure the hinted path's work deterministically.
     ///
-    /// Under `Auto` the cost heuristic weighs agents × moves against
-    /// trials. The shared [`CapHint`](crate::CapHint) bounds the
-    /// speculation tax (speculative chunks stop within a poll interval of
-    /// the serial caps once earlier chunks publish), so splitting is
-    /// cheap and the policy is aggressive: a job splits into agent chunks
-    /// whenever the *whole sweep's* trials cannot keep every worker
-    /// [`POOL_SATURATION`] units deep (`sweep_trials <
-    /// POOL_SATURATION × threads` — the pool is shared, so sibling jobs'
-    /// trials keep workers busy too), the job has more agents than one
-    /// chunk holds (so the split is real), and a trial is heavy enough
-    /// (`agents × budget >= 2^12`) for the per-chunk overhead to vanish.
+    /// Under `Auto` one worker runs trial-level. With more, the cost
+    /// heuristic weighs agents × moves against trials. The shared
+    /// [`CapHint`] bounds the speculation tax (speculative chunks stop
+    /// within a poll interval of the serial caps once earlier chunks
+    /// publish), so splitting is cheap and the policy is aggressive: a
+    /// job splits into agent chunks whenever the *whole sweep's* trials
+    /// cannot keep every worker `POOL_SATURATION` (4) units deep
+    /// (`sweep_trials < POOL_SATURATION × threads` — the pool is shared,
+    /// so sibling jobs' trials keep workers busy too), the job has more
+    /// agents than one chunk holds (so the split is real), and a trial is
+    /// heavy enough (`weight >= 2^12`) for the per-chunk overhead to
+    /// vanish.
     pub fn plan(
-        job: &SweepJob,
-        opts: &SweepOptions,
-        threads: usize,
-        sweep_trials: u64,
-    ) -> Scheduler {
-        let weight = (job.scenario.n_agents() as u64).saturating_mul(job.scenario.move_budget());
-        Scheduler::plan_weighted(job.scenario.n_agents(), weight, opts, threads, sweep_trials)
-    }
-
-    /// [`Scheduler::plan`] for an observed sweep job: the same policy
-    /// with the per-trial work proxy `agents × rounds` (observed agents
-    /// always run the full horizon, so the round count *is* the cost).
-    pub fn plan_observed(
-        job: &ObservedJob,
-        opts: &SweepOptions,
-        threads: usize,
-        sweep_trials: u64,
-    ) -> Scheduler {
-        let weight = (job.scenario.n_agents() as u64).saturating_mul(job.rounds);
-        Scheduler::plan_weighted(job.scenario.n_agents(), weight, opts, threads, sweep_trials)
-    }
-
-    fn plan_weighted(
         agents: usize,
         weight: u64,
         opts: &SweepOptions,
@@ -211,42 +188,36 @@ impl Scheduler {
     ) -> Scheduler {
         let chunk = opts.chunk.unwrap_or(DEFAULT_AGENT_CHUNK).max(1);
         match opts.granularity {
-            // Forced granularities win over the thread count: an explicit
-            // `--granularity agent --threads 1` must run chunked (it used
-            // to silently fall back to the serial path).
             Granularity::Trial => Scheduler::TrialLevel,
             Granularity::Agent => Scheduler::AgentLevel { chunk },
-            Granularity::Auto => {
-                if threads <= 1 {
-                    Scheduler::Serial
-                } else if agents > chunk
+            Granularity::Auto
+                if threads > 1
+                    && agents > chunk
                     && sweep_trials < POOL_SATURATION * threads as u64
-                    && weight >= AGENT_SPLIT_WEIGHT
-                {
-                    Scheduler::AgentLevel { chunk }
-                } else {
-                    Scheduler::TrialLevel
-                }
+                    && weight >= AGENT_SPLIT_WEIGHT =>
+            {
+                Scheduler::AgentLevel { chunk }
             }
+            Granularity::Auto => Scheduler::TrialLevel,
         }
     }
 }
 
-/// Options for [`run_sweep_with`]: thread policy, unit-of-work policy,
-/// and chunk size.
+/// Options for [`run_sweep_with`] and [`run_observed_sweep`]: thread
+/// policy, unit-of-work policy, chunk size, and an optional telemetry
+/// handle.
 ///
-/// Construct with [`SweepOptions::default`] and set the public fields;
-/// the hidden probe slot is test instrumentation (see [`Probe`]).
+/// Construct with [`SweepOptions::default`] and set the public fields.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Worker count (`None` = all available cores), clamped to `1..=64`.
+    /// Worker count (`None` = all available cores), clamped to
+    /// `1..=`[`ants_obs::MAX_WORKERS`].
     pub threads: Option<usize>,
     /// Unit-of-work policy.
     pub granularity: Granularity,
     /// Agents per chunk for agent-level scheduling
     /// (`None` = [`DEFAULT_AGENT_CHUNK`]).
     pub chunk: Option<usize>,
-    probe: Option<Arc<Probe>>,
     telemetry: Option<Telemetry>,
 }
 
@@ -268,15 +239,8 @@ impl SweepOptions {
         self
     }
 
-    /// Attach a scheduling probe (test instrumentation).
-    #[doc(hidden)]
-    pub fn with_probe(mut self, probe: Arc<Probe>) -> Self {
-        self.probe = Some(probe);
-        self
-    }
-
-    /// Attach a telemetry handle: the sweep records pool, plan, and
-    /// cap-hint counters plus per-phase span timers into it.
+    /// Attach a telemetry handle: the sweep records pool, plan, engine
+    /// step, and cap-hint counters plus per-phase span timers into it.
     ///
     /// Strictly observational — outcomes are byte-identical with or
     /// without telemetry at every thread count, granularity, and chunk
@@ -291,404 +255,328 @@ impl SweepOptions {
     pub fn telemetry(&self) -> Option<Telemetry> {
         self.telemetry
     }
-
-    #[cfg(feature = "parallel")]
-    fn record(&self, worker: usize, event: ProbeEvent) {
-        if let Some(probe) = &self.probe {
-            probe.record(worker, event);
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    fn add_work(&self, steps: u64) {
-        if let Some(probe) = &self.probe {
-            probe.add_work(steps);
-        }
-    }
 }
 
-/// One scheduling event observed by a [`Probe`].
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ProbeEvent {
-    /// A whole-trial unit executed.
-    TrialUnit {
-        /// Job index within the sweep.
-        job: usize,
-        /// Trial index within the job.
-        trial: u64,
-    },
-    /// One agent-chunk unit executed.
-    ChunkUnit {
-        /// Job index within the sweep.
-        job: usize,
-        /// Trial index within the job.
-        trial: u64,
-        /// Chunk index within the trial.
-        chunk: usize,
-    },
-    /// An agent-level trial reduced (in canonical chunk order).
-    Reduce {
-        /// Job index within the sweep.
-        job: usize,
-        /// Trial index within the job.
-        trial: u64,
-        /// Number of chunks consumed by the reduction.
-        chunks: usize,
-    },
-}
-
-/// Test-only scheduling instrumentation: records every work unit the
-/// sweep scheduler executes and every reduction it performs — a thin
-/// consumer of the same per-worker event stream the telemetry layer
-/// rides.
+/// Run `n_trials` independent trials with deterministic per-trial seeds
+/// derived from `base_seed`, as a one-job sweep on all available cores.
 ///
-/// Events land in contention-free per-worker buffers (each worker only
-/// ever touches its own slot, so the per-slot locks are uncontended by
-/// construction — the old implementation funneled every event through
-/// one global mutex) and merge on [`Probe::take`].
-///
-/// Attached per invocation via [`SweepOptions::with_probe`], so
-/// concurrent sweeps in the same process never pollute each other. Cost
-/// when absent: one `Option` check per *unit* (not per step) — no
-/// production overhead.
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct Probe {
-    /// One buffer per possible worker (the scheduler clamps worker
-    /// counts to [`ants_obs::MAX_WORKERS`]).
-    buffers: Vec<Mutex<Vec<ProbeEvent>>>,
-    work: std::sync::atomic::AtomicU64,
+/// The outcome is byte-identical to
+/// [`run_trials_serial`](crate::run_trials_serial) — parallelism changes
+/// wall-clock time only.
+pub fn run_trials(scenario: &Scenario, n_trials: u64, base_seed: u64) -> Outcome {
+    let mut outcomes = sweep_trials(&[(scenario, n_trials, base_seed)], &SweepOptions::default());
+    outcomes.pop().expect("one job yields one outcome")
 }
 
-impl Default for Probe {
-    fn default() -> Self {
-        Probe {
-            buffers: (0..ants_obs::MAX_WORKERS).map(|_| Mutex::new(Vec::new())).collect(),
-            work: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-}
-
-impl Probe {
-    /// A fresh probe, ready to attach.
-    pub fn new() -> Arc<Probe> {
-        Arc::new(Probe::default())
-    }
-
-    #[cfg(feature = "parallel")]
-    fn record(&self, worker: usize, event: ProbeEvent) {
-        let slot = &self.buffers[worker.min(self.buffers.len() - 1)];
-        slot.lock().expect("probe poisoned").push(event);
-    }
-
-    #[cfg(feature = "parallel")]
-    fn add_work(&self, steps: u64) {
-        self.work.fetch_add(steps, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Drain the recorded events, merged in worker order (event order
-    /// within a worker is execution order; across workers it is not).
-    pub fn take(&self) -> Vec<ProbeEvent> {
-        self.buffers
-            .iter()
-            .flat_map(|b| std::mem::take(&mut *b.lock().expect("probe poisoned")))
-            .collect()
-    }
-
-    /// Total agent steps simulated by the units recorded so far — the
-    /// work counter behind the speculation-tax tests. Under a live
-    /// [`CapHint`](crate::CapHint) with concurrent workers the count is
-    /// timing-dependent (earlier hints stop speculative agents sooner);
-    /// with one worker it is deterministic.
-    pub fn work(&self) -> u64 {
-        self.work.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-/// Log one job's scheduling decision, with the weight and thresholds
-/// that drove it (cold path: once per job per sweep).
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn record_plan_decision(
-    tele: Option<Telemetry>,
-    job: usize,
-    plan: Scheduler,
-    agents: usize,
-    weight: u64,
-    threads: usize,
-    sweep_trials: u64,
-    chunk_opt: Option<usize>,
-) {
-    let Some(t) = tele else { return };
-    let (granularity, chunk) = match plan {
-        Scheduler::Serial => ("serial", chunk_opt.unwrap_or(DEFAULT_AGENT_CHUNK).max(1)),
-        Scheduler::TrialLevel => ("trial", chunk_opt.unwrap_or(DEFAULT_AGENT_CHUNK).max(1)),
-        Scheduler::AgentLevel { chunk } => ("agent", chunk),
-    };
-    t.record_plan(PlanDecision {
-        job: job as u64,
-        granularity: granularity.to_string(),
-        agents: agents as u64,
-        weight,
-        sweep_trials,
-        threads: threads as u64,
-        chunk: chunk as u64,
-        split_weight: AGENT_SPLIT_WEIGHT,
-        saturation: POOL_SATURATION,
-    });
-}
-
-/// Run a batch of scenario sweeps across one shared thread pool.
+/// Run a batch of scenario sweeps across one shared pool.
 ///
 /// Experiment harnesses sweep parameter grids (E1 runs `D × n` cells);
-/// running each cell through [`crate::run_trials`] parallelises only
-/// *within* a cell and joins the pool between cells, so small cells leave
-/// cores idle. `run_sweep` flattens every cell into one work list and
-/// splits that across the pool, so the whole grid drains without
-/// barriers. Results come back per job, in job order, byte-identical to
-/// the serial path (see [`SweepJob`]).
-///
-/// `threads`: `Some(k)` pins the worker count, `None` uses all available
-/// cores. Granularity defaults to [`Granularity::Auto`]; use
-/// [`run_sweep_with`] to pin it. Without the `parallel` feature the sweep
-/// runs serially.
-pub fn run_sweep(jobs: &[SweepJob], threads: Option<usize>) -> Vec<Outcome> {
-    run_sweep_with(jobs, &SweepOptions::with_threads(threads))
-}
-
-/// [`run_sweep`] with full [`SweepOptions`]: thread policy, trial- or
-/// agent-level granularity, and chunk size.
+/// running each cell on its own would join the pool between cells, so
+/// small cells leave cores idle. This flattens every cell into one work
+/// list, so the whole grid drains without barriers. Results come back per
+/// job, in job order.
 ///
 /// The determinism contract is unchanged by every option: outcomes are
 /// byte-identical to `run_trials_serial` per job at every thread count,
 /// granularity, and chunk size (`crates/sim/tests/determinism.rs` pins
 /// this).
 pub fn run_sweep_with(jobs: &[SweepJob], opts: &SweepOptions) -> Vec<Outcome> {
-    #[cfg(feature = "parallel")]
-    {
-        let threads = resolve_threads(opts.threads);
-        // Count *work units*, not trials: a single-trial many-agent job —
-        // the flagship case for agent granularity — still fans out into
-        // its chunks.
-        let sweep_trials: u64 = jobs.iter().map(|j| j.trials).sum();
-        let mut chunked = false;
-        let mut units: u64 = 0;
-        for (i, j) in jobs.iter().enumerate() {
-            let plan = Scheduler::plan(j, opts, threads, sweep_trials);
-            let agents = j.scenario.n_agents();
-            let weight = (agents as u64).saturating_mul(j.scenario.move_budget());
-            record_plan_decision(
-                opts.telemetry,
-                i,
-                plan,
-                agents,
-                weight,
-                threads,
-                sweep_trials,
-                opts.chunk,
-            );
-            units += match plan {
-                Scheduler::AgentLevel { chunk } => {
-                    chunked = true;
-                    j.trials.saturating_mul(agents.div_ceil(chunk) as u64)
-                }
-                Scheduler::Serial | Scheduler::TrialLevel => j.trials,
-            };
-        }
-        // A single worker still takes the pooled path when a job planned
-        // agent chunks (a forced `--granularity agent` must run chunked
-        // at any thread count); plain serial work stays on the fallback.
-        if (threads > 1 || chunked) && units >= 2 {
-            return sweep_parallel(jobs, opts, threads);
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = opts;
-    jobs.iter().map(|j| run_trials_serial(&j.scenario, j.trials, j.seed)).collect()
+    let jobs: Vec<_> = jobs.iter().map(|j| (&j.scenario, j.trials, j.seed)).collect();
+    sweep_trials(&jobs, opts)
 }
 
-/// Run a batch of observed sweeps across the shared thread pool.
+/// Run a batch of observed sweeps across the shared pool.
 ///
 /// Returns, per job, per trial (in seed order), the trial's observations
 /// (one [`Observation`](crate::observe::Observation) per requested spec,
-/// in spec order). The scheduling mirrors [`run_sweep_with`]: jobs are
-/// flattened into (job, trial, agent-chunk) units per
-/// [`Scheduler::plan_observed`], drained through the same work-stealing
-/// pool, and each trial's chunk observations are merged in canonical
-/// chunk order — byte-identical to the serial
-/// [`observe_trial`] reference at every thread count, granularity, and
-/// chunk size (pinned by `crates/sim/tests/observers.rs`).
+/// in spec order). The scheduling is [`run_sweep_with`]'s, and each
+/// trial's chunk observations are merged in canonical chunk order —
+/// byte-identical to the serial [`observe_trial`](crate::observe_trial)
+/// reference at every thread count, granularity, and chunk size (pinned
+/// by `crates/sim/tests/observers.rs`).
 pub fn run_observed_sweep(
     jobs: &[ObservedJob],
     opts: &SweepOptions,
 ) -> Vec<Vec<TrialObservations>> {
-    #[cfg(feature = "parallel")]
-    {
-        let threads = resolve_threads(opts.threads);
-        let sweep_trials: u64 = jobs.iter().map(|j| j.trials).sum();
-        let mut chunked = false;
-        let mut units: u64 = 0;
-        for (i, j) in jobs.iter().enumerate() {
-            let plan = Scheduler::plan_observed(j, opts, threads, sweep_trials);
-            let agents = j.scenario.n_agents();
-            let weight = (agents as u64).saturating_mul(j.rounds);
-            record_plan_decision(
-                opts.telemetry,
-                i,
-                plan,
-                agents,
-                weight,
-                threads,
-                sweep_trials,
-                opts.chunk,
-            );
-            units += match plan {
-                Scheduler::AgentLevel { chunk } => {
-                    chunked = true;
-                    j.trials.saturating_mul(agents.div_ceil(chunk) as u64)
+    let shapes: Vec<JobShape> =
+        jobs.iter().map(|j| JobShape::new(&j.scenario, j.rounds, j.trials, j.seed)).collect();
+    Sweep::plan(&shapes, opts).run(
+        |_, u| {
+            let j = &jobs[u.job];
+            observe_chunk(&j.scenario, u.seed, j.rounds, &j.specs, u.agents.start, u.agents.end)
+        },
+        // Every merge is also order-independent; the canonical order
+        // makes that fact unnecessary for determinism.
+        |_, parts| {
+            let mut merged = parts.next().expect("a trial has at least one unit").clone();
+            for part in parts {
+                for (a, b) in merged.iter_mut().zip(part) {
+                    a.merge(b);
                 }
-                Scheduler::Serial | Scheduler::TrialLevel => j.trials,
-            };
-        }
-        if (threads > 1 || chunked) && units >= 2 {
-            return observed_parallel(jobs, opts, threads);
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = opts;
-    jobs.iter()
-        .map(|j| {
-            trial_seeds(j.trials, j.seed)
-                .iter()
-                .map(|&seed| observe_trial(&j.scenario, seed, j.rounds, &j.specs))
-                .collect()
-        })
-        .collect()
+            }
+            merged
+        },
+    )
 }
 
-#[cfg(feature = "parallel")]
-fn observed_parallel(
-    jobs: &[ObservedJob],
-    opts: &SweepOptions,
-    threads: usize,
-) -> Vec<Vec<TrialObservations>> {
-    /// One agent-range unit of an observed trial.
-    struct ObsUnit {
-        job: usize,
-        seed: u64,
-        first: usize,
-        end: usize,
-    }
-
+/// The Monte-Carlo sweep behind [`run_sweep_with`] and [`run_trials`]:
+/// `(scenario, trials, base seed)` per job.
+fn sweep_trials(jobs: &[(&Scenario, u64, u64)], opts: &SweepOptions) -> Vec<Outcome> {
+    let shapes: Vec<JobShape> = jobs
+        .iter()
+        .map(|&(s, trials, seed)| JobShape::new(s, s.move_budget(), trials, seed))
+        .collect();
+    let sweep = Sweep::plan(&shapes, opts);
+    // One shared best-so-far cap hint per chunked trial: its chunks
+    // publish finds as they land and read finds from earlier chunks, so
+    // speculative work stops within a poll interval of the serial caps
+    // instead of running to the full budget. Purely a work saver —
+    // reductions stay byte-identical (see [`CapHint`]). A one-chunk trial
+    // runs at the serial caps and needs none.
+    let hints: Vec<Option<CapHint>> =
+        sweep.trials.iter().map(|r| (r.len() > 1).then(|| CapHint::new(r.len()))).collect();
+    let trial_plan = |u: &Unit| TrialPlan::new(jobs[u.job].0, u.seed, sweep.chunks[u.job]);
     let tele = opts.telemetry;
-
-    // Flatten every job into units in canonical (job, trial, chunk)
-    // order, remembering each trial's contiguous unit span.
-    let plan_span = SpanGuard::new(tele, Phase::Plan);
-    let sweep_trials: u64 = jobs.iter().map(|j| j.trials).sum();
-    let mut units: Vec<ObsUnit> = Vec::new();
-    let mut spans: Vec<(usize, u64, std::ops::Range<usize>)> = Vec::new();
-    for (job, j) in jobs.iter().enumerate() {
-        let n_agents = j.scenario.n_agents();
-        let chunk = match Scheduler::plan_observed(j, opts, threads, sweep_trials) {
-            Scheduler::AgentLevel { chunk } => chunk,
-            // Trial-level (or degenerate serial) plans observe the whole
-            // trial as one unit.
-            Scheduler::Serial | Scheduler::TrialLevel => n_agents,
-        };
-        for (trial, &seed) in trial_seeds(j.trials, j.seed).iter().enumerate() {
-            let start = units.len();
-            let mut first = 0usize;
-            while first < n_agents {
-                let end = (first + chunk).min(n_agents);
-                units.push(ObsUnit { job, seed, first, end });
-                first = end;
+    let per_job = sweep.run(
+        |w, u| {
+            let plan = trial_plan(u);
+            let run = match &hints[u.trial] {
+                Some(hint) => plan.run_chunk_hinted(u.agents.start / plan.chunk(), hint),
+                None => plan.run_chunk(0),
+            };
+            if let Some(t) = tele {
+                t.add(w, Counter::EngineSteps, run.work());
+                let h = run.hint_stats();
+                t.add(w, Counter::HintPolls, h.polls);
+                t.add(w, Counter::HintClamps, h.clamps);
+                t.add(w, Counter::HintStepsSaved, h.moves_saved);
             }
-            spans.push((job, trial as u64, start..units.len()));
-        }
-    }
-
-    drop(plan_span);
-
-    // Wave 1: drain all chunk units through the pool.
-    let execute_span = SpanGuard::new(tele, Phase::Execute);
-    let outs: Vec<TrialObservations> = drain(&units, threads, tele, |_w, u| {
-        let j = &jobs[u.job];
-        observe_chunk(&j.scenario, u.seed, j.rounds, &j.specs, u.first, u.end)
-    });
-    drop(execute_span);
-
-    // Wave 2: merge each trial's chunks in canonical order (every merge
-    // is also order-independent; the canonical order makes that fact
-    // unnecessary for determinism).
-    let _reduce_span = SpanGuard::new(tele, Phase::Reduce);
-    let mut per_trial: Vec<Vec<Option<TrialObservations>>> =
-        jobs.iter().map(|j| vec![None; j.trials as usize]).collect();
-    let mut outs: Vec<Option<TrialObservations>> = outs.into_iter().map(Some).collect();
-    for (job, trial, span) in spans {
-        let mut merged: Option<TrialObservations> = None;
-        for slot in &mut outs[span] {
-            let part = slot.take().expect("each unit consumed once");
-            match &mut merged {
-                None => merged = Some(part),
-                Some(acc) => {
-                    for (a, b) in acc.iter_mut().zip(&part) {
-                        a.merge(b);
-                    }
-                }
-            }
-        }
-        per_trial[job][trial as usize] = Some(merged.expect("trials have at least one chunk"));
-    }
-    per_trial
-        .into_iter()
-        .map(|trials| trials.into_iter().map(|t| t.expect("missing observed trial")).collect())
-        .collect()
+            run
+        },
+        |u, chunks| trial_plan(u).reduce_iter(chunks),
+    );
+    per_job.into_iter().map(Outcome::new).collect()
 }
 
 /// Deterministic parallel map over `0..n`, in canonical index order.
 ///
 /// The index range is split into contiguous batches drained through the
-/// same kind of worker pool as [`run_sweep_with`]; results are flattened
-/// back in index order, so the output equals `(0..n).map(f).collect()`
-/// exactly. This is the agent-level scheduling primitive for experiments
-/// whose inner loop is not a [`Scenario`] (E4 samples walk lengths with
-/// it). Only `opts.threads` applies here: `opts.chunk` is *agents* per
-/// chunk and deliberately ignored — batch sizes are auto-scaled to ~16
-/// batches per worker, clamped to `64..=65_536` samples.
+/// same pool as [`run_sweep_with`]; results are flattened back in index
+/// order, so the output equals `(0..n).map(f).collect()` exactly. This is
+/// the agent-level scheduling primitive for experiments whose inner loop
+/// is not a [`Scenario`] (E4 samples walk lengths with it). Only
+/// `opts.threads` applies here: `opts.chunk` is *agents* per chunk and
+/// deliberately ignored — batch sizes are auto-scaled to ~16 batches per
+/// worker, clamped to `64..=65_536` samples.
 pub fn map_indexed<R, F>(n: u64, opts: &SweepOptions, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(u64) -> R + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        let threads = resolve_threads(opts.threads);
-        if threads > 1 && n >= 2 {
-            let chunk = n.div_ceil(threads as u64 * 16).clamp(64, 65_536);
-            let ranges: Vec<(u64, u64)> =
-                (0..n.div_ceil(chunk)).map(|i| (i * chunk, ((i + 1) * chunk).min(n))).collect();
-            let parts: Vec<Vec<R>> =
-                drain(&ranges, threads, opts.telemetry, |_w, &(lo, hi)| (lo..hi).map(&f).collect());
-            return parts.into_iter().flatten().collect();
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = opts;
-    (0..n).map(f).collect()
+    let threads = resolve_threads(opts.threads);
+    let chunk = n.div_ceil(threads as u64 * 16).clamp(64, 65_536);
+    let ranges: Vec<(u64, u64)> =
+        (0..n.div_ceil(chunk)).map(|i| (i * chunk, ((i + 1) * chunk).min(n))).collect();
+    let parts: Vec<Vec<R>> =
+        drain(&ranges, threads, opts.telemetry, |_w, &(lo, hi)| (lo..hi).map(&f).collect());
+    parts.into_iter().flatten().collect()
 }
 
-/// Drain `units` through `threads` workers pulling from an atomic cursor;
-/// returns one output per unit, in unit order. The closure receives the
-/// executing worker's index alongside the unit.
+/// Resolve a thread policy to a worker count.
+///
+/// `None` means "all available cores"; explicit counts are honoured as
+/// given (an oversubscribed count is allowed — useful for benchmarking
+/// the scheduling overhead). Both are clamped to
+/// `1..=`[`ants_obs::MAX_WORKERS`]. Without the `parallel` feature the
+/// pool has one worker, so every unit runs on the calling thread.
+fn resolve_threads(threads: Option<usize>) -> usize {
+    if !cfg!(feature = "parallel") {
+        return 1;
+    }
+    threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+        .clamp(1, ants_obs::MAX_WORKERS)
+}
+
+/// What the planner and the unit layout need to know about one job.
+struct JobShape {
+    agents: usize,
+    /// The per-trial work proxy: agents × (move budget or rounds).
+    weight: u64,
+    trials: u64,
+    seed: u64,
+}
+
+impl JobShape {
+    /// A job of `trials` trials of `scenario` from base seed `seed`,
+    /// where each agent costs about `per_agent` steps.
+    fn new(scenario: &Scenario, per_agent: u64, trials: u64, seed: u64) -> Self {
+        let agents = scenario.n_agents();
+        JobShape { agents, weight: (agents as u64).saturating_mul(per_agent), trials, seed }
+    }
+}
+
+/// One work unit: a contiguous agent range of one trial.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Unit {
+    /// Job index within the sweep.
+    job: usize,
+    /// Trial index within the whole sweep (its entry in the layout's
+    /// trial ranges).
+    trial: usize,
+    /// The trial's seed.
+    seed: u64,
+    /// The agents this unit runs.
+    agents: Range<usize>,
+}
+
+/// Flatten `jobs` into units of at most `chunks[job]` agents, in
+/// canonical (job, trial, chunk) order. Also returns each trial's
+/// contiguous unit range, in the same order.
+fn layout(jobs: &[JobShape], chunks: &[usize]) -> (Vec<Unit>, Vec<Range<usize>>) {
+    let mut units = Vec::new();
+    let mut trials = Vec::new();
+    for (job, (j, &chunk)) in jobs.iter().zip(chunks).enumerate() {
+        for seed in trial_seeds(j.trials, j.seed) {
+            let start = units.len();
+            for first in (0..j.agents).step_by(chunk) {
+                let agents = first..(first + chunk).min(j.agents);
+                units.push(Unit { job, trial: trials.len(), seed, agents });
+            }
+            trials.push(start..units.len());
+        }
+    }
+    (units, trials)
+}
+
+/// A planned sweep: the worker count, each job's agents per unit, and
+/// the unit layout.
+struct Sweep {
+    threads: usize,
+    tele: Option<Telemetry>,
+    /// Agents per unit for each job (the job's agent count at trial
+    /// level).
+    chunks: Vec<usize>,
+    units: Vec<Unit>,
+    /// Each trial's contiguous unit range, in (job, trial) order.
+    trials: Vec<Range<usize>>,
+}
+
+impl Sweep {
+    /// Plan every job once — logging its [`PlanDecision`] with the weight
+    /// and thresholds that drove it — and lay out the units.
+    fn plan(jobs: &[JobShape], opts: &SweepOptions) -> Sweep {
+        let tele = opts.telemetry;
+        let _span = SpanGuard::new(tele, Phase::Plan);
+        let threads = resolve_threads(opts.threads);
+        let sweep_trials: u64 = jobs.iter().map(|j| j.trials).sum();
+        let chunks: Vec<usize> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, j)| {
+                let plan = Scheduler::plan(j.agents, j.weight, opts, threads, sweep_trials);
+                if let Some(t) = tele {
+                    let granularity = match plan {
+                        Scheduler::TrialLevel => "trial",
+                        Scheduler::AgentLevel { .. } => "agent",
+                    };
+                    t.record_plan(PlanDecision {
+                        job: i as u64,
+                        granularity: granularity.to_string(),
+                        agents: j.agents as u64,
+                        weight: j.weight,
+                        sweep_trials,
+                        threads: threads as u64,
+                        chunk: opts.chunk.unwrap_or(DEFAULT_AGENT_CHUNK).max(1) as u64,
+                        split_weight: AGENT_SPLIT_WEIGHT,
+                        saturation: POOL_SATURATION,
+                    });
+                }
+                match plan {
+                    Scheduler::TrialLevel => j.agents,
+                    Scheduler::AgentLevel { chunk } => chunk.min(j.agents),
+                }
+            })
+            .collect();
+        let (units, trials) = layout(jobs, &chunks);
+        Sweep { threads, tele, chunks, units, trials }
+    }
+
+    /// Execute the sweep: wave 1 drains every unit through `run`; wave 2
+    /// reduces each chunked trial's outputs, in canonical chunk order,
+    /// through `reduce`. A one-unit trial is reduced inside wave 1 and
+    /// never enters wave 2. Returns per job, per trial, the reduction.
+    fn run<C, R>(
+        &self,
+        run: impl Fn(usize, &Unit) -> C + Sync,
+        reduce: impl Fn(&Unit, &mut dyn Iterator<Item = &C>) -> R + Sync,
+    ) -> Vec<Vec<R>>
+    where
+        C: Send + Sync,
+        R: Send + Sync,
+    {
+        /// A unit's output: one chunk of a chunked trial, or a one-unit
+        /// trial already reduced.
+        enum Out<C, R> {
+            Part(C),
+            Done(R),
+        }
+
+        let tele = self.tele;
+        let execute_span = SpanGuard::new(tele, Phase::Execute);
+        let outs = drain(&self.units, self.threads, tele, |w, u| {
+            let part = run(w, u);
+            if self.trials[u.trial].len() == 1 {
+                Out::Done(reduce(u, &mut std::iter::once(&part)))
+            } else {
+                Out::Part(part)
+            }
+        });
+        drop(execute_span);
+
+        // The reduction drain runs telemetry-detached so reductions don't
+        // inflate the pool's unit counters — `PoolReduces` counts them
+        // instead.
+        let reduce_span = SpanGuard::new(tele, Phase::Reduce);
+        let chunked: Vec<&Range<usize>> = self.trials.iter().filter(|r| r.len() > 1).collect();
+        let reduced = drain(&chunked, self.threads, None, |w, &r| {
+            if let Some(t) = tele {
+                t.incr(w, Counter::PoolReduces);
+            }
+            let mut parts = outs[r.clone()].iter().map(|out| match out {
+                Out::Part(part) => part,
+                Out::Done(_) => unreachable!("a reduced trial inside a chunked range"),
+            });
+            reduce(&self.units[r.start], &mut parts)
+        });
+        drop(reduce_span);
+
+        let mut reduced = reduced.into_iter();
+        let mut per_job: Vec<Vec<R>> = self.chunks.iter().map(|_| Vec::new()).collect();
+        for (u, out) in self.units.iter().zip(outs) {
+            let result = match out {
+                Out::Done(result) => result,
+                Out::Part(_) if u.agents.start == 0 => {
+                    reduced.next().expect("one reduction per chunked trial")
+                }
+                Out::Part(_) => continue,
+            };
+            per_job[u.job].push(result);
+        }
+        per_job
+    }
+}
+
+/// Drain `units` through up to `threads` workers pulling from an atomic
+/// cursor; returns one output per unit, in unit order. The closure
+/// receives the executing worker's index alongside the unit. With one
+/// worker the units run inline on the calling thread.
 ///
 /// When `tele` is attached each worker counts its own claims, steals
 /// (units claimed off their static round-robin home `i % workers`),
 /// cursor polls, and busy/idle wall-clock in locals, flushing once to
 /// the worker's shard at exit — the hot loop gains no shared-state
 /// traffic and no clock reads unless telemetry is on.
-#[cfg(feature = "parallel")]
 fn drain<T, U, F>(units: &[T], threads: usize, tele: Option<Telemetry>, run: F) -> Vec<U>
 where
     T: Sync,
@@ -696,61 +584,59 @@ where
     F: Fn(usize, &T) -> U + Sync,
 {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     if units.is_empty() {
         return Vec::new();
     }
     let cursor = AtomicUsize::new(0);
-    let workers = threads.min(units.len());
-    // Each worker keeps (index, output) pairs for the units it stole;
-    // outputs are reassembled in unit order after the join.
-    let cursor = &cursor;
-    let run = &run;
-    let collected: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let started = tele.map(|_| Instant::now());
-                    let mut claimed = 0u64;
-                    let mut stolen = 0u64;
-                    let mut polls = 0u64;
-                    let mut busy = std::time::Duration::ZERO;
-                    let mut mine = Vec::new();
-                    loop {
-                        polls += 1;
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(unit) = units.get(i) else { break };
-                        if started.is_some() {
-                            claimed += 1;
-                            if i % workers != w {
-                                stolen += 1;
-                            }
-                            let t0 = Instant::now();
-                            mine.push((i, run(w, unit)));
-                            busy += t0.elapsed();
-                        } else {
-                            mine.push((i, run(w, unit)));
-                        }
-                    }
-                    if let (Some(t), Some(t0)) = (tele, started) {
-                        let as_ns = |d: std::time::Duration| {
-                            u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-                        };
-                        let total_ns = as_ns(t0.elapsed());
-                        let busy_ns = as_ns(busy);
-                        t.add(w, Counter::PoolUnits, claimed);
-                        t.add(w, Counter::PoolSteals, stolen);
-                        t.add(w, Counter::PoolPolls, polls);
-                        t.add(w, Counter::PoolBusyNs, busy_ns);
-                        t.add(w, Counter::PoolIdleNs, total_ns.saturating_sub(busy_ns));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
-    });
+    let workers = threads.clamp(1, units.len());
+    // One worker's loop: (index, output) pairs for the units it claimed;
+    // outputs are reassembled in unit order afterwards.
+    let work = |w: usize| {
+        let started = tele.map(|_| Instant::now());
+        let mut claimed = 0u64;
+        let mut stolen = 0u64;
+        let mut polls = 0u64;
+        let mut busy = Duration::ZERO;
+        let mut mine = Vec::new();
+        loop {
+            polls += 1;
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(unit) = units.get(i) else { break };
+            if started.is_some() {
+                claimed += 1;
+                if i % workers != w {
+                    stolen += 1;
+                }
+                let t0 = Instant::now();
+                mine.push((i, run(w, unit)));
+                busy += t0.elapsed();
+            } else {
+                mine.push((i, run(w, unit)));
+            }
+        }
+        if let (Some(t), Some(t0)) = (tele, started) {
+            let as_ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+            let total_ns = as_ns(t0.elapsed());
+            let busy_ns = as_ns(busy);
+            t.add(w, Counter::PoolUnits, claimed);
+            t.add(w, Counter::PoolSteals, stolen);
+            t.add(w, Counter::PoolPolls, polls);
+            t.add(w, Counter::PoolBusyNs, busy_ns);
+            t.add(w, Counter::PoolIdleNs, total_ns.saturating_sub(busy_ns));
+        }
+        mine
+    };
+    let collected: Vec<Vec<(usize, U)>> = if workers > 1 {
+        let work = &work;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || work(w))).collect();
+            handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
+        })
+    } else {
+        vec![work(0)]
+    };
     let mut slots: Vec<Option<U>> = units.iter().map(|_| None).collect();
     for (i, out) in collected.into_iter().flatten() {
         debug_assert!(slots[i].is_none(), "unit {i} executed twice");
@@ -759,166 +645,10 @@ where
     slots.into_iter().map(|s| s.expect("work unit never executed")).collect()
 }
 
-#[cfg(feature = "parallel")]
-enum Unit {
-    Trial {
-        job: usize,
-        trial: u64,
-        seed: u64,
-    },
-    /// `red` indexes the trial's pending [`Reduction`] — and therefore
-    /// its shared [`CapHint`](crate::CapHint).
-    Chunk {
-        job: usize,
-        trial: u64,
-        seed: u64,
-        chunk: usize,
-        chunk_idx: usize,
-        red: usize,
-    },
-}
-
-/// A pending per-trial reduction: the contiguous unit range holding the
-/// trial's chunks.
-#[cfg(feature = "parallel")]
-struct Reduction {
-    job: usize,
-    trial: u64,
-    seed: u64,
-    chunk: usize,
-    units: std::ops::Range<usize>,
-}
-
-#[cfg(feature = "parallel")]
-fn sweep_parallel(jobs: &[SweepJob], opts: &SweepOptions, threads: usize) -> Vec<Outcome> {
-    enum Out {
-        Trial(TrialResult),
-        Chunk(ChunkRun),
-    }
-
-    let tele = opts.telemetry;
-
-    // Flatten every job into units, in canonical (job, trial, chunk)
-    // order; remember the reductions agent-level trials will need.
-    let plan_span = SpanGuard::new(tele, Phase::Plan);
-    let sweep_trials: u64 = jobs.iter().map(|j| j.trials).sum();
-    let mut units: Vec<Unit> = Vec::new();
-    let mut reductions: Vec<Reduction> = Vec::new();
-    for (job, j) in jobs.iter().enumerate() {
-        let seeds = trial_seeds(j.trials, j.seed);
-        match Scheduler::plan(j, opts, threads, sweep_trials) {
-            Scheduler::Serial | Scheduler::TrialLevel => {
-                for (trial, &seed) in seeds.iter().enumerate() {
-                    units.push(Unit::Trial { job, trial: trial as u64, seed });
-                }
-            }
-            Scheduler::AgentLevel { chunk } => {
-                let n_chunks = j.scenario.n_agents().div_ceil(chunk);
-                for (trial, &seed) in seeds.iter().enumerate() {
-                    let start = units.len();
-                    let red = reductions.len();
-                    for chunk_idx in 0..n_chunks {
-                        units.push(Unit::Chunk {
-                            job,
-                            trial: trial as u64,
-                            seed,
-                            chunk,
-                            chunk_idx,
-                            red,
-                        });
-                    }
-                    reductions.push(Reduction {
-                        job,
-                        trial: trial as u64,
-                        seed,
-                        chunk,
-                        units: start..units.len(),
-                    });
-                }
-            }
-        }
-    }
-
-    // One shared best-so-far cap hint per agent-level trial: its chunks
-    // publish finds as they land and read finds from earlier chunks, so
-    // speculative work stops within a poll interval of the serial caps
-    // instead of running to the full budget. Purely a work saver —
-    // reductions stay byte-identical (see [`crate::CapHint`]).
-    let hints: Vec<crate::CapHint> =
-        reductions.iter().map(|r| crate::CapHint::new(r.units.len())).collect();
-    drop(plan_span);
-
-    // Wave 1: drain all trial and chunk units through the pool.
-    let execute_span = SpanGuard::new(tele, Phase::Execute);
-    let outs: Vec<Out> = drain(&units, threads, tele, |w, unit| match *unit {
-        Unit::Trial { job, trial, seed } => {
-            opts.record(w, ProbeEvent::TrialUnit { job, trial });
-            let scenario = &jobs[job].scenario;
-            let plan = TrialPlan::new(scenario, seed, scenario.n_agents());
-            let chunk = plan.run_chunk(0);
-            opts.add_work(chunk.work());
-            if let Some(t) = tele {
-                t.add(w, Counter::EngineSteps, chunk.work());
-            }
-            Out::Trial(plan.reduce(std::slice::from_ref(&chunk)))
-        }
-        Unit::Chunk { job, trial, seed, chunk, chunk_idx, red } => {
-            opts.record(w, ProbeEvent::ChunkUnit { job, trial, chunk: chunk_idx });
-            let plan = TrialPlan::new(&jobs[job].scenario, seed, chunk);
-            let run = plan.run_chunk_hinted(chunk_idx, &hints[red]);
-            opts.add_work(run.work());
-            if let Some(t) = tele {
-                t.add(w, Counter::EngineSteps, run.work());
-                let h = run.hint_stats();
-                t.add(w, Counter::HintPolls, h.polls);
-                t.add(w, Counter::HintClamps, h.clamps);
-                t.add(w, Counter::HintStepsSaved, h.moves_saved);
-            }
-            Out::Chunk(run)
-        }
-    });
-    drop(execute_span);
-
-    // Wave 2: reduce agent-level trials (canonical chunk order inside
-    // each reduction; reductions themselves are independent). The drain
-    // runs telemetry-detached so reductions don't inflate the pool's
-    // unit counters — `PoolReduces` counts them instead.
-    let reduce_span = SpanGuard::new(tele, Phase::Reduce);
-    let reduced: Vec<TrialResult> = drain(&reductions, threads, None, |w, r| {
-        opts.record(w, ProbeEvent::Reduce { job: r.job, trial: r.trial, chunks: r.units.len() });
-        if let Some(t) = tele {
-            t.incr(w, Counter::PoolReduces);
-        }
-        let plan = TrialPlan::new(&jobs[r.job].scenario, r.seed, r.chunk);
-        plan.reduce_iter(outs[r.units.clone()].iter().map(|o| match o {
-            Out::Chunk(c) => c,
-            Out::Trial(_) => unreachable!("trial unit inside a reduction range"),
-        }))
-    });
-    drop(reduce_span);
-
-    // Assemble per-job outcomes in canonical order.
-    let mut per_trial: Vec<Vec<Option<TrialResult>>> =
-        jobs.iter().map(|j| vec![None; j.trials as usize]).collect();
-    for (unit, out) in units.iter().zip(outs) {
-        if let (&Unit::Trial { job, trial, .. }, Out::Trial(t)) = (unit, out) {
-            per_trial[job][trial as usize] = Some(t);
-        }
-    }
-    for (r, t) in reductions.iter().zip(reduced) {
-        per_trial[r.job][r.trial as usize] = Some(t);
-    }
-    per_trial
-        .into_iter()
-        .map(|trials| {
-            Outcome::new(trials.into_iter().map(|t| t.expect("missing trial result")).collect())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_trials_serial;
     use ants_core::baselines::SpiralSearch;
     use ants_grid::TargetPlacement;
 
@@ -935,12 +665,19 @@ mod tests {
         SweepJob::new(spiral_scenario(d, n), trials, seed)
     }
 
+    /// [`Scheduler::plan`] for a [`SweepJob`] (weight = agents × budget).
+    fn plan(job: &SweepJob, opts: &SweepOptions, threads: usize, sweep_trials: u64) -> Scheduler {
+        let agents = job.scenario.n_agents();
+        let weight = agents as u64 * job.scenario.move_budget();
+        Scheduler::plan(agents, weight, opts, threads, sweep_trials)
+    }
+
     #[test]
     fn run_sweep_matches_serial_reference() {
         let jobs: Vec<SweepJob> =
             [(3u64, 11u64), (5, 22), (7, 33)].into_iter().map(|(d, s)| job(d, 2, 6, s)).collect();
         for threads in [None, Some(1), Some(3), Some(16)] {
-            let outcomes = run_sweep(&jobs, threads);
+            let outcomes = run_sweep_with(&jobs, &SweepOptions::with_threads(threads));
             assert_eq!(outcomes.len(), jobs.len());
             for (j, outcome) in jobs.iter().zip(&outcomes) {
                 let reference = run_trials_serial(&j.scenario, j.trials, j.seed);
@@ -955,10 +692,17 @@ mod tests {
 
     #[test]
     fn run_sweep_handles_empty_and_tiny_batches() {
-        assert!(run_sweep(&[], None).is_empty());
-        let jobs = vec![job(2, 1, 1, 9)];
-        let outcomes = run_sweep(&jobs, Some(8));
+        assert!(run_sweep_with(&[], &SweepOptions::default()).is_empty());
+        let jobs = vec![job(2, 1, 1, 9), job(2, 3, 0, 4)];
+        let outcomes = run_sweep_with(&jobs, &SweepOptions::with_threads(Some(8)));
         assert_eq!(outcomes[0].trials(), run_trials_serial(&jobs[0].scenario, 1, 9).trials());
+        assert!(outcomes[1].trials().is_empty(), "a zero-trial job yields an empty outcome");
+    }
+
+    #[test]
+    fn run_trials_matches_serial_reference() {
+        let s = spiral_scenario(4, 2);
+        assert_eq!(run_trials(&s, 12, 77).trials(), run_trials_serial(&s, 12, 77).trials());
     }
 
     #[test]
@@ -973,68 +717,108 @@ mod tests {
     #[test]
     fn scheduler_plan_heuristics() {
         let opts = SweepOptions::default();
-        // One worker: always serial.
-        assert_eq!(Scheduler::plan(&job(4, 64, 2, 0), &opts, 1, 2), Scheduler::Serial);
+        // One worker: trial level.
+        assert_eq!(plan(&job(4, 64, 2, 0), &opts, 1, 2), Scheduler::TrialLevel);
         // Many trials, light cells: trial level.
-        assert_eq!(Scheduler::plan(&job(4, 2, 100, 0), &opts, 4, 100), Scheduler::TrialLevel);
+        assert_eq!(plan(&job(4, 2, 100, 0), &opts, 4, 100), Scheduler::TrialLevel);
         // Few trials, many agents: agent level.
         assert_eq!(
-            Scheduler::plan(&job(4, 64, 2, 0), &opts, 4, 2),
+            plan(&job(4, 64, 2, 0), &opts, 4, 2),
             Scheduler::AgentLevel { chunk: DEFAULT_AGENT_CHUNK }
         );
         // Plenty of trials fill the pool on their own: never split (the
         // speculative chunks would multiply total work for nothing).
-        assert_eq!(Scheduler::plan(&job(4, 64, 100, 0), &opts, 4, 100), Scheduler::TrialLevel);
+        assert_eq!(plan(&job(4, 64, 100, 0), &opts, 4, 100), Scheduler::TrialLevel);
         // Aggressive split: trials that keep workers less than
-        // POOL_SATURATION units deep still split (15 trials on 4 workers
-        // would have stayed at trial level under the pre-hint policy).
+        // POOL_SATURATION units deep still split.
         assert_eq!(
-            Scheduler::plan(&job(4, 64, 15, 0), &opts, 4, 15),
+            plan(&job(4, 64, 15, 0), &opts, 4, 15),
             Scheduler::AgentLevel { chunk: DEFAULT_AGENT_CHUNK }
         );
         // Too light a trial to split: the per-chunk scheduling overhead
         // would rival the simulation itself.
-        let light = SweepJob::new(
-            Scenario::builder()
-                .agents(64)
-                .target(TargetPlacement::Corner { distance: 2 })
-                .move_budget(50)
-                .strategy(|_| Box::new(SpiralSearch::new()))
-                .build(),
-            2,
-            0,
-        );
-        assert_eq!(Scheduler::plan(&light, &opts, 4, 2), Scheduler::TrialLevel);
+        assert_eq!(Scheduler::plan(64, 64 * 50, &opts, 4, 2), Scheduler::TrialLevel);
         // The pool is shared: a few-trial heavy job inside a sweep whose
         // siblings already provide plenty of trial units stays unsplit.
-        assert_eq!(Scheduler::plan(&job(4, 64, 2, 0), &opts, 4, 100), Scheduler::TrialLevel);
+        assert_eq!(plan(&job(4, 64, 2, 0), &opts, 4, 100), Scheduler::TrialLevel);
         // Too few agents to split: stays at trial level.
-        assert_eq!(Scheduler::plan(&job(4, 4, 2, 0), &opts, 4, 2), Scheduler::TrialLevel);
+        assert_eq!(plan(&job(4, 4, 2, 0), &opts, 4, 2), Scheduler::TrialLevel);
     }
 
     #[test]
     fn scheduler_plan_honours_forced_granularity() {
         let opts = SweepOptions::default().granularity(Granularity::Agent).chunk(3);
-        assert_eq!(
-            Scheduler::plan(&job(4, 2, 100, 0), &opts, 4, 100),
-            Scheduler::AgentLevel { chunk: 3 }
-        );
+        assert_eq!(plan(&job(4, 2, 100, 0), &opts, 4, 100), Scheduler::AgentLevel { chunk: 3 });
         let opts = SweepOptions::default().granularity(Granularity::Trial);
-        assert_eq!(Scheduler::plan(&job(4, 64, 2, 0), &opts, 4, 2), Scheduler::TrialLevel);
+        assert_eq!(plan(&job(4, 64, 2, 0), &opts, 4, 2), Scheduler::TrialLevel);
     }
 
     /// Regression: an explicit `--granularity agent` (or `trial`) used to
-    /// be silently discarded whenever `threads <= 1` — `plan_weighted`
-    /// returned `Serial` before even looking at the forced granularity.
+    /// be silently discarded whenever `threads <= 1`.
     #[test]
     fn scheduler_plan_honours_forced_granularity_on_one_worker() {
         let opts = SweepOptions::default().granularity(Granularity::Agent).chunk(3);
-        assert_eq!(
-            Scheduler::plan(&job(4, 64, 2, 0), &opts, 1, 2),
-            Scheduler::AgentLevel { chunk: 3 }
-        );
+        assert_eq!(plan(&job(4, 64, 2, 0), &opts, 1, 2), Scheduler::AgentLevel { chunk: 3 });
         let opts = SweepOptions::default().granularity(Granularity::Trial);
-        assert_eq!(Scheduler::plan(&job(4, 64, 2, 0), &opts, 1, 2), Scheduler::TrialLevel);
+        assert_eq!(plan(&job(4, 64, 2, 0), &opts, 1, 2), Scheduler::TrialLevel);
+    }
+
+    /// The planned unit list of `jobs` — `(agents, trials, base seed)`
+    /// each — under `opts`, with each trial's unit range.
+    fn planned(jobs: &[(usize, u64, u64)], opts: &SweepOptions) -> (Vec<Unit>, Vec<Range<usize>>) {
+        let shapes: Vec<JobShape> = jobs
+            .iter()
+            .map(|&(agents, trials, seed)| JobShape { agents, weight: 1 << 20, trials, seed })
+            .collect();
+        let sweep = Sweep::plan(&shapes, opts);
+        (sweep.units, sweep.trials)
+    }
+
+    /// The units of trial `trial` (sweep-wide index) of job `job`, seeded
+    /// `seed`, whose agent ranges end at `ends` (each starts where the
+    /// previous one ended).
+    fn trial_units(job: usize, trial: usize, seed: u64, ends: &[usize]) -> Vec<Unit> {
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        starts
+            .zip(ends)
+            .map(|(first, &end)| Unit { job, trial, seed, agents: first..end })
+            .collect()
+    }
+
+    #[test]
+    fn layout_is_canonical_at_every_granularity() {
+        let (s7, s8) = (trial_seeds(2, 7), trial_seeds(1, 8));
+
+        // Trial level: one whole-trial unit per (job, trial).
+        let opts = SweepOptions::with_threads(Some(4)).granularity(Granularity::Trial);
+        let (units, trials) = planned(&[(3, 2, 7), (2, 1, 8)], &opts);
+        let mut want = trial_units(0, 0, s7[0], &[3]);
+        want.extend(trial_units(0, 1, s7[1], &[3]));
+        want.extend(trial_units(1, 2, s8[0], &[2]));
+        assert_eq!(units, want);
+        assert_eq!(trials, vec![0..1, 1..2, 2..3]);
+
+        // Agent level: every trial splits into chunks, uneven tail last;
+        // a chunk wider than the job is the one-unit (trial-level) case.
+        let opts = SweepOptions::with_threads(Some(4)).granularity(Granularity::Agent).chunk(2);
+        let (units, trials) = planned(&[(5, 2, 7), (2, 1, 8), (1, 1, 8)], &opts);
+        let mut want = trial_units(0, 0, s7[0], &[2, 4, 5]);
+        want.extend(trial_units(0, 1, s7[1], &[2, 4, 5]));
+        want.extend(trial_units(1, 2, s8[0], &[2]));
+        want.extend(trial_units(2, 3, s8[0], &[1]));
+        assert_eq!(units, want);
+        assert_eq!(trials, vec![0..3, 3..6, 6..7, 7..8]);
+
+        // A forced agent granularity still chunks on one worker.
+        let one = SweepOptions::with_threads(Some(1)).granularity(Granularity::Agent).chunk(2);
+        assert_eq!(planned(&[(5, 2, 7), (2, 1, 8), (1, 1, 8)], &one), (units, trials));
+
+        // One trial of nine agents fans out into five chunks.
+        let (units, trials) = planned(&[(9, 1, 42)], &opts);
+        let want = trial_units(0, 0, trial_seeds(1, 42)[0], &[2, 4, 6, 8, 9]);
+        assert_eq!(units, want);
+        assert_eq!(trials.len(), 1);
+        assert_eq!(trials[0], 0..5);
     }
 
     #[test]

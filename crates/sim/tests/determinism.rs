@@ -13,6 +13,7 @@
 use ants_core::baselines::{RandomWalk, SpiralSearch};
 use ants_core::{NonUniformSearch, UniformSearch};
 use ants_grid::TargetPlacement;
+use ants_obs::{Counter, Snapshot, Telemetry};
 use ants_sim::{
     run_sweep_with, run_trial, run_trials_serial, Granularity, Scenario, SweepJob, SweepOptions,
     TrialPlan,
@@ -66,7 +67,7 @@ proptest! {
         }
     }
 
-    /// `run_sweep` equality across threads x granularity x chunk on
+    /// `run_sweep_with` equality across threads x granularity x chunk on
     /// randomized job batches: every combination must reproduce the
     /// serial per-job reference byte for byte.
     #[test]
@@ -174,16 +175,31 @@ proptest! {
     }
 }
 
+/// Run `jobs` under `opts` with a fresh telemetry handle attached, check
+/// every outcome against the serial reference, and return the counters.
+fn counted_sweep(jobs: &[SweepJob], opts: SweepOptions) -> Snapshot {
+    let tele = Telemetry::new();
+    let outcomes = run_sweep_with(jobs, &opts.with_telemetry(tele));
+    assert_eq!(outcomes.len(), jobs.len());
+    for (job, outcome) in jobs.iter().zip(&outcomes) {
+        let reference = run_trials_serial(&job.scenario, job.trials, job.seed);
+        assert_eq!(outcome.trials(), reference.trials(), "sweep diverged from serial");
+    }
+    let snap = tele.snapshot();
+    assert_eq!(
+        snap.counter(Counter::PoolUnits),
+        snap.worker_units.iter().sum::<u64>(),
+        "per-worker unit shards must sum to the total"
+    );
+    snap
+}
+
 /// Scheduling invariant: under agent-level scheduling every
-/// (cell, trial, chunk) unit executes exactly once, every trial is
-/// reduced exactly once in canonical chunk order, and no whole-trial
-/// units sneak in. Uses the engine's test-only probe hook (attached per
-/// invocation — zero production overhead).
-#[cfg(feature = "parallel")]
+/// (cell, trial, chunk) unit executes exactly once, and every trial that
+/// splits into more than one chunk is reduced exactly once (a one-chunk
+/// trial is reduced inside its unit).
 #[test]
 fn agent_units_execute_exactly_once() {
-    use ants_sim::{Probe, ProbeEvent};
-
     for case in 0u64..12 {
         let kind = (case % 4) as u8;
         let n = (case % 5) as usize + 1;
@@ -194,142 +210,69 @@ fn agent_units_execute_exactly_once() {
             SweepJob::new(rand_scenario(kind, n, 4, false), trials, case),
             SweepJob::new(rand_scenario(kind.wrapping_add(1), n + 1, 5, true), trials + 1, !case),
         ];
-        let probe = Probe::new();
-        let opts = SweepOptions::with_threads(Some(threads))
-            .granularity(Granularity::Agent)
-            .chunk(chunk)
-            .with_probe(probe.clone());
-        let outcomes = run_sweep_with(&jobs, &opts);
+        let opts =
+            SweepOptions::with_threads(Some(threads)).granularity(Granularity::Agent).chunk(chunk);
+        let snap = counted_sweep(&jobs, opts);
 
-        // The run itself must still match the serial reference.
-        for (job, outcome) in jobs.iter().zip(&outcomes) {
-            let reference = run_trials_serial(&job.scenario, job.trials, job.seed);
-            assert_eq!(outcome.trials(), reference.trials(), "case {case} diverged");
+        let (mut units, mut reduces) = (0, 0);
+        for job in &jobs {
+            let n_chunks = job.scenario.n_agents().div_ceil(chunk) as u64;
+            units += job.trials * n_chunks;
+            reduces += if n_chunks > 1 { job.trials } else { 0 };
         }
-
-        let mut events = probe.take();
-        events.sort_unstable();
-        let mut expected = Vec::new();
-        for (job_idx, job) in jobs.iter().enumerate() {
-            let n_chunks = job.scenario.n_agents().div_ceil(chunk);
-            for trial in 0..job.trials {
-                for c in 0..n_chunks {
-                    expected.push(ProbeEvent::ChunkUnit { job: job_idx, trial, chunk: c });
-                }
-                expected.push(ProbeEvent::Reduce { job: job_idx, trial, chunks: n_chunks });
-            }
-        }
-        expected.sort_unstable();
-        assert_eq!(
-            events, expected,
-            "case {case}: unit multiset mismatch (threads {threads}, chunk {chunk})"
-        );
+        assert_eq!(snap.counter(Counter::PoolUnits), units, "case {case}: unit count");
+        assert_eq!(snap.counter(Counter::PoolReduces), reduces, "case {case}: reduction count");
     }
 }
 
 /// Trial-level scheduling executes exactly one whole-trial unit per
-/// (cell, trial) and performs no chunk work or reductions.
-#[cfg(feature = "parallel")]
+/// (cell, trial) and performs no chunk reductions.
 #[test]
 fn trial_units_execute_exactly_once() {
-    use ants_sim::{Probe, ProbeEvent};
-
     let jobs = vec![
         SweepJob::new(rand_scenario(0, 3, 4, false), 3, 7),
         SweepJob::new(rand_scenario(2, 2, 5, false), 2, 8),
     ];
-    let probe = Probe::new();
-    let opts = SweepOptions::with_threads(Some(4))
-        .granularity(Granularity::Trial)
-        .with_probe(probe.clone());
-    let _ = run_sweep_with(&jobs, &opts);
-    let mut events = probe.take();
-    events.sort_unstable();
-    let mut expected = Vec::new();
-    for (job_idx, job) in jobs.iter().enumerate() {
-        for trial in 0..job.trials {
-            expected.push(ProbeEvent::TrialUnit { job: job_idx, trial });
-        }
-    }
-    expected.sort_unstable();
-    assert_eq!(events, expected);
+    let snap =
+        counted_sweep(&jobs, SweepOptions::with_threads(Some(4)).granularity(Granularity::Trial));
+    assert_eq!(snap.counter(Counter::PoolUnits), 5);
+    assert_eq!(snap.counter(Counter::PoolReduces), 0);
 }
 
-/// The flagship case — a single trial with many agents — must fan out
-/// into agent chunks rather than falling back to the serial path (the
-/// unit count, not the trial count, decides).
-#[cfg(feature = "parallel")]
+/// The flagship case — a single trial with many agents — fans out into
+/// agent chunks (the unit count, not the trial count, decides).
 #[test]
 fn single_trial_many_agents_fans_out() {
-    use ants_sim::{Probe, ProbeEvent};
-
     let jobs = vec![SweepJob::new(rand_scenario(2, 9, 6, false), 1, 42)];
-    let probe = Probe::new();
-    let opts = SweepOptions::with_threads(Some(4))
-        .granularity(Granularity::Agent)
-        .chunk(2)
-        .with_probe(probe.clone());
-    let outcomes = run_sweep_with(&jobs, &opts);
-    assert_eq!(
-        outcomes[0].trials(),
-        run_trials_serial(&jobs[0].scenario, 1, 42).trials(),
-        "single-trial sweep diverged"
-    );
-    let mut events = probe.take();
-    events.sort_unstable();
-    let mut expected: Vec<ProbeEvent> =
-        (0..5).map(|chunk| ProbeEvent::ChunkUnit { job: 0, trial: 0, chunk }).collect();
-    expected.push(ProbeEvent::Reduce { job: 0, trial: 0, chunks: 5 });
-    expected.sort_unstable();
-    assert_eq!(events, expected, "1-trial/9-agent job must split into 5 chunks");
+    let opts = SweepOptions::with_threads(Some(4)).granularity(Granularity::Agent).chunk(2);
+    let snap = counted_sweep(&jobs, opts);
+    assert_eq!(snap.counter(Counter::PoolUnits), 5, "1-trial/9-agent job must split into 5 chunks");
+    assert_eq!(snap.counter(Counter::PoolReduces), 1);
 }
 
-/// The probe must record nothing when the sweep falls back to the serial
-/// path: one worker under auto granularity plans every job serially.
-#[cfg(feature = "parallel")]
+/// One worker under auto granularity runs every trial as one inline unit
+/// — and the pool and engine counters still count that work.
 #[test]
-fn serial_fallback_records_no_units() {
-    use ants_sim::Probe;
-
+fn one_worker_auto_sweep_counts_its_work() {
     let jobs = vec![SweepJob::new(rand_scenario(1, 2, 3, false), 2, 1)];
-    let probe = Probe::new();
-    let opts = SweepOptions::with_threads(Some(1)).with_probe(probe.clone());
-    let _ = run_sweep_with(&jobs, &opts);
-    assert!(probe.take().is_empty());
-    assert_eq!(probe.work(), 0);
+    let snap = counted_sweep(&jobs, SweepOptions::with_threads(Some(1)));
+    assert_eq!(snap.counter(Counter::PoolUnits), 2);
+    assert_eq!(snap.counter(Counter::PoolReduces), 0);
+    assert!(snap.counter(Counter::EngineSteps) > 0, "inline units must count their steps");
+    assert_eq!(snap.plans.len(), 1, "each job is planned and logged once");
+    assert_eq!(snap.plans[0].granularity, "trial");
 }
 
 /// Regression for the forced-granularity bug: `--granularity agent` on a
 /// single worker must still run chunked (it used to fall back to the
-/// serial path, recording nothing and ignoring the explicit request) —
-/// and stay byte-identical to the serial reference.
-#[cfg(feature = "parallel")]
+/// serial path, ignoring the explicit request) — and stay byte-identical
+/// to the serial reference.
 #[test]
 fn forced_agent_granularity_runs_chunked_on_one_worker() {
-    use ants_sim::{Probe, ProbeEvent};
-
     let jobs = vec![SweepJob::new(rand_scenario(3, 5, 4, false), 2, 17)];
-    let probe = Probe::new();
-    let opts = SweepOptions::with_threads(Some(1))
-        .granularity(Granularity::Agent)
-        .chunk(2)
-        .with_probe(probe.clone());
-    let outcomes = run_sweep_with(&jobs, &opts);
-    assert_eq!(
-        outcomes[0].trials(),
-        run_trials_serial(&jobs[0].scenario, 2, 17).trials(),
-        "single-worker chunked sweep diverged"
-    );
-    let mut events = probe.take();
-    events.sort_unstable();
-    let mut expected = Vec::new();
-    for trial in 0..2u64 {
-        for chunk in 0..3 {
-            expected.push(ProbeEvent::ChunkUnit { job: 0, trial, chunk });
-        }
-        expected.push(ProbeEvent::Reduce { job: 0, trial, chunks: 3 });
-    }
-    expected.sort_unstable();
-    assert_eq!(events, expected, "forced agent granularity must produce chunk units");
-    assert!(probe.work() > 0, "chunk units must report their work");
+    let opts = SweepOptions::with_threads(Some(1)).granularity(Granularity::Agent).chunk(2);
+    let snap = counted_sweep(&jobs, opts);
+    assert_eq!(snap.counter(Counter::PoolUnits), 6, "two trials of three chunks each");
+    assert_eq!(snap.counter(Counter::PoolReduces), 2);
+    assert!(snap.counter(Counter::EngineSteps) > 0, "chunk units must report their work");
 }

@@ -9,13 +9,14 @@
 //!   pay a tax well above the 1.3x acceptance bound (so the cell is a
 //!   meaningful probe, not a vacuously easy one), and
 //! * with the hint, a forced agent-chunk sweep at chunk 8 performs less
-//!   than 1.3x the serial work — measured through the scheduler's own
-//!   work probe, deterministically, on a single worker draining units in
-//!   canonical order (concurrent workers only move the stop points
+//!   than 1.3x the serial work — measured through the engine's
+//!   `EngineSteps` telemetry counter, deterministically, on a single
+//!   worker draining units in canonical order (concurrent workers only move the stop points
 //!   between the serial and unhinted extremes).
 
 use ants_core::NonUniformSearch;
 use ants_grid::TargetPlacement;
+use ants_obs::{Counter, Telemetry};
 use ants_sim::{
     run_sweep_with, run_trials_serial, Granularity, Scenario, SweepJob, SweepOptions, TrialPlan,
 };
@@ -34,27 +35,25 @@ fn e9_style_scenario() -> Scenario {
 const SEED: u64 = 0xE9;
 const TRIALS: u64 = 2;
 
-/// Total steps over a sweep of the cell, measured by the scheduler's
-/// probe, forced to agent granularity at the given chunk size on one
-/// worker (deterministic: units drain in canonical order).
-#[cfg(feature = "parallel")]
-fn probed_work(chunk: usize) -> u64 {
-    use ants_sim::Probe;
-
+/// Total steps over a sweep of the cell, counted by the engine's
+/// `EngineSteps` telemetry counter, forced to agent granularity at the
+/// given chunk size on one worker (deterministic: units drain in
+/// canonical order).
+fn counted_work(chunk: usize) -> u64 {
     let jobs = vec![SweepJob::new(e9_style_scenario(), TRIALS, SEED)];
-    let probe = Probe::new();
+    let tele = Telemetry::new();
     let opts = SweepOptions::with_threads(Some(1))
         .granularity(Granularity::Agent)
         .chunk(chunk)
-        .with_probe(probe.clone());
+        .with_telemetry(tele);
     let outcomes = run_sweep_with(&jobs, &opts);
     assert_eq!(
         outcomes[0].trials(),
         run_trials_serial(&jobs[0].scenario, TRIALS, SEED).trials(),
         "chunk {chunk} sweep diverged from the serial reference"
     );
-    let work = probe.work();
-    assert!(work > 0, "probe recorded no work at chunk {chunk}");
+    let work = tele.counter(Counter::EngineSteps);
+    assert!(work > 0, "no engine steps counted at chunk {chunk}");
     work
 }
 
@@ -62,11 +61,10 @@ fn probed_work(chunk: usize) -> u64 {
 /// performs < 1.3x the serial work. A chunk spanning all agents has
 /// serial caps by construction, so it is the work baseline; the hinted
 /// chunk-8 sweep must land within 30% of it.
-#[cfg(feature = "parallel")]
 #[test]
 fn hinted_chunked_sweep_work_is_near_serial() {
-    let serial = probed_work(64);
-    let chunked = probed_work(8);
+    let serial = counted_work(64);
+    let chunked = counted_work(8);
     eprintln!(
         "hinted chunk-8 work ratio: {:.3} ({chunked} / {serial} steps)",
         chunked as f64 / serial as f64

@@ -37,7 +37,8 @@
 //! let spec = ants_workload::WorkloadSpec::parse(text).unwrap();
 //! let plan = ants_workload::WorkloadPlan::expand(&spec).unwrap();
 //! let jobs = plan.jobs(false, 0).unwrap();
-//! let outcomes = ants_sim::run_sweep(&jobs, Some(1));
+//! let opts = ants_sim::SweepOptions::with_threads(Some(1));
+//! let outcomes = ants_sim::run_sweep_with(&jobs, &opts);
 //! assert_eq!(outcomes.len(), 1);
 //! ```
 

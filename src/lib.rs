@@ -20,7 +20,7 @@
 //! * [`analysis`] — lower-bound machinery (coverage prediction, drift);
 //! * [`workload`] — declarative workload specs: TOML-subset scenario
 //!   grids with heterogeneous strategy zoos;
-//! * [`bench`] — the E1–E15 experiment battery behind the
+//! * [`bench`](mod@bench) — the E1–E15 experiment battery behind the
 //!   [`Experiment`](ants_bench::Experiment) trait and its shared runner,
 //!   plus the workload-backed [`WorkloadExperiment`](ants_bench::WorkloadExperiment);
 //! * [`serve`] — the content-addressed workload service: a local NDJSON
