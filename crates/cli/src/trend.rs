@@ -69,6 +69,7 @@ fn load_report(path: &Path) -> Result<Json, String> {
 fn cell_text(cell: &Json) -> String {
     match cell {
         Json::Str(s) => s.clone(),
+        Json::Int(n) => n.to_string(),
         Json::Num(x) => format!("{x}"),
         Json::Bool(b) => b.to_string(),
         Json::Null => "null".to_string(),

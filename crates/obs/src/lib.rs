@@ -23,6 +23,11 @@
 //!
 //! Aggregates freeze into a [`Snapshot`] — plain mergeable data with a
 //! schema-versioned NDJSON serialization (see [`snapshot`](Snapshot)).
+//!
+//! The crate also holds the workspace's one JSON module, [`json`]: a
+//! value model with exact `u64` integers, a strict parser, and a compact
+//! writer. It sits here because `ants-obs` has no dependencies, so every
+//! crate above can share it; `ants-sim` re-exports it as `ants_sim::json`.
 
 #![forbid(unsafe_code)]
 

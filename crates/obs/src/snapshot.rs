@@ -11,7 +11,7 @@
 //! gauges take the max, plan logs union as multisets), which is what lets
 //! shards, runs, and processes aggregate in any order.
 
-use crate::json::{escape, Jv};
+use crate::json::Json;
 use crate::{Counter, Gauge, Phase, HIST_BUCKETS};
 
 /// Schema tag stamped on every NDJSON snapshot line.
@@ -44,32 +44,29 @@ pub struct PlanDecision {
 }
 
 impl PlanDecision {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"job\":{},\"granularity\":\"{}\",\"agents\":{},\"weight\":{},\
-             \"sweep_trials\":{},\"threads\":{},\"chunk\":{},\"split_weight\":{},\
-             \"saturation\":{}}}",
-            self.job,
-            escape(&self.granularity),
-            self.agents,
-            self.weight,
-            self.sweep_trials,
-            self.threads,
-            self.chunk,
-            self.split_weight,
-            self.saturation
-        )
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("job", self.job.into()),
+            ("granularity", self.granularity.as_str().into()),
+            ("agents", self.agents.into()),
+            ("weight", self.weight.into()),
+            ("sweep_trials", self.sweep_trials.into()),
+            ("threads", self.threads.into()),
+            ("chunk", self.chunk.into()),
+            ("split_weight", self.split_weight.into()),
+            ("saturation", self.saturation.into()),
+        ])
     }
 
-    fn from_json(v: &Jv) -> Result<PlanDecision, String> {
+    fn from_json(v: &Json) -> Result<PlanDecision, String> {
         let field = |k: &str| {
-            v.get(k).and_then(Jv::as_u64).ok_or_else(|| format!("plan decision missing '{k}'"))
+            v.get(k).and_then(Json::as_u64).ok_or_else(|| format!("plan decision missing '{k}'"))
         };
         Ok(PlanDecision {
             job: field("job")?,
             granularity: v
                 .get("granularity")
-                .and_then(Jv::as_str)
+                .and_then(Json::as_str)
                 .ok_or("plan decision missing 'granularity'")?
                 .to_string(),
             agents: field("agents")?,
@@ -194,112 +191,96 @@ impl Snapshot {
         out
     }
 
-    fn pool_body(&self) -> String {
-        format!(
-            "\"units\":{},\"steals\":{},\"polls\":{},\"busy_ns\":{},\"idle_ns\":{},\
-             \"reduces\":{},\"worker_units\":{},\"worker_steals\":{},\"worker_polls\":{},\
-             \"worker_busy_ns\":{},\"worker_idle_ns\":{}",
-            self.counter(Counter::PoolUnits),
-            self.counter(Counter::PoolSteals),
-            self.counter(Counter::PoolPolls),
-            self.counter(Counter::PoolBusyNs),
-            self.counter(Counter::PoolIdleNs),
-            self.counter(Counter::PoolReduces),
-            int_array(&self.worker_units),
-            int_array(&self.worker_steals),
-            int_array(&self.worker_polls),
-            int_array(&self.worker_busy_ns),
-            int_array(&self.worker_idle_ns),
-        )
-    }
-
-    fn engine_body(&self) -> String {
-        format!(
-            "\"steps\":{},\"hint_polls\":{},\"hint_clamps\":{},\"hint_steps_saved\":{}",
-            self.counter(Counter::EngineSteps),
-            self.counter(Counter::HintPolls),
-            self.counter(Counter::HintClamps),
-            self.counter(Counter::HintStepsSaved),
-        )
-    }
-
-    fn phases_body(&self) -> String {
-        let mut parts = Vec::with_capacity(Phase::COUNT * 2);
-        for phase in Phase::ALL {
-            parts.push(format!(
-                "\"{0}_ns\":{1},\"{0}_spans\":{2}",
-                phase.as_str(),
-                self.phase_ns[phase as usize],
-                self.phase_count[phase as usize]
-            ));
-        }
-        parts.join(",")
-    }
-
-    fn serve_body(&self) -> String {
-        format!(
-            "\"uptime_ns\":{},\"submit\":{},\"gate\":{},\"stats\":{},\"shutdown\":{},\
-             \"hits\":{},\"misses\":{},\"cache_entries\":{},\"cache_bytes\":{},\
-             \"hit_latency_ns\":{},\"miss_latency_ns\":{}",
-            self.uptime_ns,
-            self.counter(Counter::ServeSubmit),
-            self.counter(Counter::ServeGate),
-            self.counter(Counter::ServeStats),
-            self.counter(Counter::ServeShutdown),
-            self.counter(Counter::ServeHits),
-            self.counter(Counter::ServeMisses),
-            self.gauge(Gauge::CacheEntries),
-            self.gauge(Gauge::CacheBytes),
-            int_array(&self.hit_latency),
-            int_array(&self.miss_latency),
-        )
-    }
-
-    fn dp_body(&self) -> String {
-        format!(
-            "\"solves\":{},\"memo_hits\":{},\"memo_misses\":{}",
-            self.counter(Counter::DpSolves),
-            self.counter(Counter::DpMemoHits),
-            self.counter(Counter::DpMemoMisses),
-        )
-    }
-
-    fn plans_body(&self) -> String {
-        let items: Vec<String> = self.plans.iter().map(PlanDecision::to_json).collect();
-        format!("\"decisions\":[{}]", items.join(","))
+    /// Every subsystem's fields, in wire order: the body of one NDJSON
+    /// line each, and of one nested object each in [`Snapshot::to_json`].
+    fn subsystems(&self) -> [(&'static str, Vec<(String, Json)>); 6] {
+        let c = |counter: Counter| Json::from(self.counter(counter));
+        let fields = |pairs: Vec<(&str, Json)>| -> Vec<(String, Json)> {
+            pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+        };
+        let pool = fields(vec![
+            ("units", c(Counter::PoolUnits)),
+            ("steals", c(Counter::PoolSteals)),
+            ("polls", c(Counter::PoolPolls)),
+            ("busy_ns", c(Counter::PoolBusyNs)),
+            ("idle_ns", c(Counter::PoolIdleNs)),
+            ("reduces", c(Counter::PoolReduces)),
+            ("worker_units", self.worker_units.as_slice().into()),
+            ("worker_steals", self.worker_steals.as_slice().into()),
+            ("worker_polls", self.worker_polls.as_slice().into()),
+            ("worker_busy_ns", self.worker_busy_ns.as_slice().into()),
+            ("worker_idle_ns", self.worker_idle_ns.as_slice().into()),
+        ]);
+        let engine = fields(vec![
+            ("steps", c(Counter::EngineSteps)),
+            ("hint_polls", c(Counter::HintPolls)),
+            ("hint_clamps", c(Counter::HintClamps)),
+            ("hint_steps_saved", c(Counter::HintStepsSaved)),
+        ]);
+        let phases = Phase::ALL
+            .iter()
+            .flat_map(|&p| {
+                [
+                    (format!("{}_ns", p.as_str()), self.phase_ns[p as usize].into()),
+                    (format!("{}_spans", p.as_str()), self.phase_count[p as usize].into()),
+                ]
+            })
+            .collect();
+        let serve = fields(vec![
+            ("uptime_ns", self.uptime_ns.into()),
+            ("submit", c(Counter::ServeSubmit)),
+            ("gate", c(Counter::ServeGate)),
+            ("stats", c(Counter::ServeStats)),
+            ("shutdown", c(Counter::ServeShutdown)),
+            ("hits", c(Counter::ServeHits)),
+            ("misses", c(Counter::ServeMisses)),
+            ("cache_entries", self.gauge(Gauge::CacheEntries).into()),
+            ("cache_bytes", self.gauge(Gauge::CacheBytes).into()),
+            ("hit_latency_ns", self.hit_latency.as_slice().into()),
+            ("miss_latency_ns", self.miss_latency.as_slice().into()),
+        ]);
+        let dp = fields(vec![
+            ("solves", c(Counter::DpSolves)),
+            ("memo_hits", c(Counter::DpMemoHits)),
+            ("memo_misses", c(Counter::DpMemoMisses)),
+        ]);
+        let decisions = Json::Arr(self.plans.iter().map(PlanDecision::to_json).collect());
+        let plans = fields(vec![("decisions", decisions)]);
+        [
+            ("pool", pool),
+            ("engine", engine),
+            ("phases", phases),
+            ("serve", serve),
+            ("dp", dp),
+            ("plans", plans),
+        ]
     }
 
     /// The NDJSON snapshot: one schema-stamped line per subsystem
     /// (`pool`, `engine`, `phases`, `serve`, `dp`, `plans`), each a
     /// complete JSON object, newline-terminated.
     pub fn to_ndjson(&self) -> String {
-        let line = |subsystem: &str, body: String| {
-            format!("{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"subsystem\":\"{subsystem}\",{body}}}\n")
-        };
         let mut out = String::new();
-        out.push_str(&line("pool", self.pool_body()));
-        out.push_str(&line("engine", self.engine_body()));
-        out.push_str(&line("phases", self.phases_body()));
-        out.push_str(&line("serve", self.serve_body()));
-        out.push_str(&line("dp", self.dp_body()));
-        out.push_str(&line("plans", self.plans_body()));
+        for (subsystem, body) in self.subsystems() {
+            let head = [("schema", SNAPSHOT_SCHEMA), ("subsystem", subsystem)];
+            let line = head.into_iter().map(|(k, v)| (k.to_string(), Json::from(v))).chain(body);
+            out.push_str(&Json::Obj(line.collect()).serialize());
+            out.push('\n');
+        }
         out
     }
 
-    /// The snapshot as a single inline JSON object (the `telemetry` block
-    /// of the serve `stats` event): the same subsystem bodies, nested
-    /// under their names, on one line.
+    /// The snapshot as one JSON tree (the `telemetry` block of the serve
+    /// `stats` event): the schema, then each subsystem's fields nested
+    /// under its name.
+    pub fn to_json(&self) -> Json {
+        let subsystems = self.subsystems().map(|(name, body)| (name, Json::Obj(body)));
+        Json::obj([("schema", Json::from(SNAPSHOT_SCHEMA))].into_iter().chain(subsystems))
+    }
+
+    /// [`Snapshot::to_json`] serialized on one line.
     pub fn to_inline_json(&self) -> String {
-        format!(
-            "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"pool\":{{{}}},\"engine\":{{{}}},\
-             \"phases\":{{{}}},\"serve\":{{{}}},\"dp\":{{{}}},\"plans\":{{{}}}}}",
-            self.pool_body(),
-            self.engine_body(),
-            self.phases_body(),
-            self.serve_body(),
-            self.dp_body(),
-            self.plans_body()
-        )
+        self.to_json().serialize()
     }
 
     /// Parse an NDJSON snapshot written by [`Snapshot::to_ndjson`].
@@ -319,8 +300,8 @@ impl Snapshot {
             if line.is_empty() {
                 continue;
             }
-            let doc = Jv::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-            let schema = doc.get("schema").and_then(Jv::as_str).unwrap_or("");
+            let doc = Json::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+            let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
             if schema != SNAPSHOT_SCHEMA {
                 return Err(format!(
                     "line {}: schema '{schema}' is not '{SNAPSHOT_SCHEMA}'",
@@ -328,7 +309,7 @@ impl Snapshot {
                 ));
             }
             lines += 1;
-            let subsystem = doc.get("subsystem").and_then(Jv::as_str).unwrap_or("");
+            let subsystem = doc.get("subsystem").and_then(Json::as_str).unwrap_or("");
             match subsystem {
                 "pool" => snap.parse_pool(&doc)?,
                 "engine" => snap.parse_engine(&doc)?,
@@ -345,7 +326,7 @@ impl Snapshot {
         Ok(snap)
     }
 
-    fn parse_pool(&mut self, doc: &Jv) -> Result<(), String> {
+    fn parse_pool(&mut self, doc: &Json) -> Result<(), String> {
         self.counters[Counter::PoolUnits as usize] = req_u64(doc, "pool", "units")?;
         self.counters[Counter::PoolSteals as usize] = req_u64(doc, "pool", "steals")?;
         self.counters[Counter::PoolPolls as usize] = req_u64(doc, "pool", "polls")?;
@@ -360,7 +341,7 @@ impl Snapshot {
         Ok(())
     }
 
-    fn parse_engine(&mut self, doc: &Jv) -> Result<(), String> {
+    fn parse_engine(&mut self, doc: &Json) -> Result<(), String> {
         self.counters[Counter::EngineSteps as usize] = req_u64(doc, "engine", "steps")?;
         self.counters[Counter::HintPolls as usize] = req_u64(doc, "engine", "hint_polls")?;
         self.counters[Counter::HintClamps as usize] = req_u64(doc, "engine", "hint_clamps")?;
@@ -369,7 +350,7 @@ impl Snapshot {
         Ok(())
     }
 
-    fn parse_phases(&mut self, doc: &Jv) {
+    fn parse_phases(&mut self, doc: &Json) {
         // Lenient on purpose: a snapshot written before a phase existed
         // simply has no field for it, and parses as zero. (The `dp_solve`
         // fields are absent from pre-dp files.)
@@ -379,7 +360,7 @@ impl Snapshot {
         }
     }
 
-    fn parse_serve(&mut self, doc: &Jv) -> Result<(), String> {
+    fn parse_serve(&mut self, doc: &Json) -> Result<(), String> {
         self.uptime_ns = req_u64(doc, "serve", "uptime_ns")?;
         self.counters[Counter::ServeSubmit as usize] = req_u64(doc, "serve", "submit")?;
         self.counters[Counter::ServeGate as usize] = req_u64(doc, "serve", "gate")?;
@@ -394,7 +375,7 @@ impl Snapshot {
         Ok(())
     }
 
-    fn parse_dp(&mut self, doc: &Jv) {
+    fn parse_dp(&mut self, doc: &Json) {
         // Lenient like `parse_phases`: the whole line is absent from
         // pre-dp snapshots, and fields default to zero.
         self.counters[Counter::DpSolves as usize] = opt_u64(doc, "solves");
@@ -402,39 +383,36 @@ impl Snapshot {
         self.counters[Counter::DpMemoMisses as usize] = opt_u64(doc, "memo_misses");
     }
 
-    fn parse_plans(&mut self, doc: &Jv) -> Result<(), String> {
-        let items =
-            doc.get("decisions").and_then(Jv::as_array).ok_or("plans line missing 'decisions'")?;
+    fn parse_plans(&mut self, doc: &Json) -> Result<(), String> {
+        let items = doc
+            .get("decisions")
+            .and_then(Json::as_array)
+            .ok_or("plans line missing 'decisions'")?;
         self.plans = items.iter().map(PlanDecision::from_json).collect::<Result<_, _>>()?;
         Ok(())
     }
 }
 
-fn int_array(values: &[u64]) -> String {
-    let items: Vec<String> = values.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(","))
+fn opt_u64(doc: &Json, key: &str) -> u64 {
+    doc.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
-fn opt_u64(doc: &Jv, key: &str) -> u64 {
-    doc.get(key).and_then(Jv::as_u64).unwrap_or(0)
-}
-
-fn req_u64(doc: &Jv, subsystem: &str, key: &str) -> Result<u64, String> {
+fn req_u64(doc: &Json, subsystem: &str, key: &str) -> Result<u64, String> {
     doc.get(key)
-        .and_then(Jv::as_u64)
+        .and_then(Json::as_u64)
         .ok_or_else(|| format!("{subsystem} line missing integer '{key}'"))
 }
 
-fn req_vec(doc: &Jv, subsystem: &str, key: &str) -> Result<Vec<u64>, String> {
+fn req_vec(doc: &Json, subsystem: &str, key: &str) -> Result<Vec<u64>, String> {
     doc.get(key)
-        .and_then(Jv::as_array)
+        .and_then(Json::as_array)
         .ok_or_else(|| format!("{subsystem} line missing array '{key}'"))?
         .iter()
         .map(|v| v.as_u64().ok_or_else(|| format!("{subsystem} '{key}' has a non-integer")))
         .collect()
 }
 
-fn req_hist(doc: &Jv, subsystem: &str, key: &str) -> Result<[u64; HIST_BUCKETS], String> {
+fn req_hist(doc: &Json, subsystem: &str, key: &str) -> Result<[u64; HIST_BUCKETS], String> {
     let values = req_vec(doc, subsystem, key)?;
     if values.len() > HIST_BUCKETS {
         return Err(format!(
@@ -496,10 +474,10 @@ mod tests {
         let s = sample();
         let line = s.to_inline_json();
         assert!(!line.contains('\n'));
-        let doc = Jv::parse(&line).unwrap();
-        assert_eq!(doc.get("pool").and_then(|p| p.get("steals")).and_then(Jv::as_u64), Some(19));
+        let doc = Json::parse(&line).unwrap();
+        assert_eq!(doc.get("pool").and_then(|p| p.get("steals")).and_then(Json::as_u64), Some(19));
         assert_eq!(
-            doc.get("engine").and_then(|e| e.get("hint_steps_saved")).and_then(Jv::as_u64),
+            doc.get("engine").and_then(|e| e.get("hint_steps_saved")).and_then(Json::as_u64),
             Some(7_000)
         );
     }
@@ -552,8 +530,8 @@ mod tests {
         s.counters[Counter::DpMemoMisses as usize] = 6;
         let parsed = Snapshot::parse_ndjson(&s.to_ndjson()).unwrap();
         assert_eq!(parsed, s);
-        let doc = Jv::parse(&s.to_inline_json()).unwrap();
-        assert_eq!(doc.get("dp").and_then(|d| d.get("memo_hits")).and_then(Jv::as_u64), Some(5));
+        let doc = Json::parse(&s.to_inline_json()).unwrap();
+        assert_eq!(doc.get("dp").and_then(|d| d.get("memo_hits")).and_then(Json::as_u64), Some(5));
     }
 
     #[test]
@@ -563,5 +541,59 @@ mod tests {
         assert!(e.contains("ants-telemetry/v1"), "{e}");
         assert!(Snapshot::parse_ndjson("").is_err());
         assert!(Snapshot::parse_ndjson("not json").is_err());
+    }
+
+    /// The snapshot bytes as the hand-written writer printed them; the
+    /// tree-built writer must reproduce them exactly.
+    const PINNED_NDJSON: &str = concat!(
+        r#"{"schema":"ants-telemetry/v1","subsystem":"pool","units":28,"steals":19,"#,
+        r#""polls":0,"busy_ns":0,"idle_ns":0,"reduces":0,"worker_units":[9,8,6,5],"#,
+        r#""worker_steals":[0,8,6,5],"worker_polls":[10,9,7,6],"worker_busy_ns":[100,90,"#,
+        r#"70,60],"worker_idle_ns":[1,2,3,4]}"#,
+        "\n",
+        r#"{"schema":"ants-telemetry/v1","subsystem":"engine","steps":0,"hint_polls":0,"#,
+        r#""hint_clamps":0,"hint_steps_saved":7000}"#,
+        "\n",
+        r#"{"schema":"ants-telemetry/v1","subsystem":"phases","plan_ns":0,"plan_spans":0,"#,
+        r#""execute_ns":500,"execute_spans":1,"reduce_ns":0,"reduce_spans":0,"#,
+        r#""report_ns":0,"report_spans":0,"dp_solve_ns":0,"dp_solve_spans":0}"#,
+        "\n",
+        r#"{"schema":"ants-telemetry/v1","subsystem":"serve","uptime_ns":12345,"submit":0,"#,
+        r#""gate":0,"stats":0,"shutdown":0,"hits":3,"misses":0,"cache_entries":2,"#,
+        r#""cache_bytes":0,"hit_latency_ns":[0,0,0,0,0,0,0,0,0,0,0,0,3,0,0,0,0,0,0,0,0,0,"#,
+        r#"0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"miss_latency_ns":[0,0,0,0,0,0,0,0,0,0,0,"#,
+        r#"0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#,
+        "\n",
+        r#"{"schema":"ants-telemetry/v1","subsystem":"dp","solves":0,"memo_hits":0,"#,
+        r#""memo_misses":0}"#,
+        "\n",
+        r#"{"schema":"ants-telemetry/v1","subsystem":"plans","decisions":[{"job":0,"#,
+        r#""granularity":"agent","agents":64,"weight":1048576,"sweep_trials":4,"#,
+        r#""threads":4,"chunk":8,"split_weight":4096,"saturation":4}]}"#,
+        "\n",
+    );
+
+    const PINNED_INLINE: &str = concat!(
+        r#"{"schema":"ants-telemetry/v1","pool":{"units":28,"steals":19,"polls":0,"#,
+        r#""busy_ns":0,"idle_ns":0,"reduces":0,"worker_units":[9,8,6,5],"#,
+        r#""worker_steals":[0,8,6,5],"worker_polls":[10,9,7,6],"worker_busy_ns":[100,90,"#,
+        r#"70,60],"worker_idle_ns":[1,2,3,4]},"engine":{"steps":0,"hint_polls":0,"#,
+        r#""hint_clamps":0,"hint_steps_saved":7000},"phases":{"plan_ns":0,"plan_spans":0,"#,
+        r#""execute_ns":500,"execute_spans":1,"reduce_ns":0,"reduce_spans":0,"#,
+        r#""report_ns":0,"report_spans":0,"dp_solve_ns":0,"dp_solve_spans":0},"#,
+        r#""serve":{"uptime_ns":12345,"submit":0,"gate":0,"stats":0,"shutdown":0,"hits":3,"#,
+        r#""misses":0,"cache_entries":2,"cache_bytes":0,"hit_latency_ns":[0,0,0,0,0,0,0,0,"#,
+        r#"0,0,0,0,3,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"#,
+        r#""miss_latency_ns":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"#,
+        r#"0,0,0,0,0,0,0,0,0,0]},"dp":{"solves":0,"memo_hits":0,"memo_misses":0},"#,
+        r#""plans":{"decisions":[{"job":0,"granularity":"agent","agents":64,"#,
+        r#""weight":1048576,"sweep_trials":4,"threads":4,"chunk":8,"split_weight":4096,"#,
+        r#""saturation":4}]}}"#,
+    );
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        assert_eq!(sample().to_ndjson(), PINNED_NDJSON);
+        assert_eq!(sample().to_inline_json(), PINNED_INLINE);
     }
 }

@@ -110,15 +110,15 @@ proptest! {
 
     #[test]
     fn inline_json_parses_and_agrees_on_totals(a in snapshot_strategy()) {
-        let doc = ants_obs::json::Jv::parse(&a.to_inline_json()).expect("inline parses");
+        let doc = ants_obs::json::Json::parse(&a.to_inline_json()).expect("inline parses");
         let pool = doc.get("pool").expect("pool block");
         prop_assert_eq!(
-            pool.get("units").and_then(ants_obs::json::Jv::as_u64),
+            pool.get("units").and_then(ants_obs::json::Json::as_u64),
             Some(a.counter(Counter::PoolUnits))
         );
         let serve = doc.get("serve").expect("serve block");
         prop_assert_eq!(
-            serve.get("hits").and_then(ants_obs::json::Jv::as_u64),
+            serve.get("hits").and_then(ants_obs::json::Json::as_u64),
             Some(a.counter(Counter::ServeHits))
         );
     }

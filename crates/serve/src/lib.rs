@@ -36,5 +36,5 @@ pub mod server;
 
 pub use cache::{cache_key, Entry};
 pub use client::{discover_addr, request_lines, request_streamed};
-pub use protocol::{Op, Request};
-pub use server::{ServeOptions, Server, Stats};
+pub use protocol::{Op, Request, Stats};
+pub use server::{ServeOptions, Server};

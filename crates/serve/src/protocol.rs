@@ -15,12 +15,18 @@
 //!   violations, pass/fail.
 //! * `stats` / `ok` / `error` — operational responses.
 //!
-//! All numbers ride [`ants_sim::json::number`], so NaN/±Inf survive the
-//! wire losslessly via the string sentinels.
+//! Every line is built here, as a [`Json`] tree printed by
+//! [`Json::serialize`] (the workspace's one JSON module, `ants_obs::json`,
+//! re-exported as `ants_sim::json`); the server only writes the lines.
+//! Integers such as seeds and counters ride as exact `u64`s, floats go
+//! through [`ants_sim::json::number`], so NaN/±Inf survive the wire via
+//! the string sentinels. The `cell` and `report` events splice the report
+//! writer's tokens, so their bytes match the report document's.
 
-use ants_bench::{Effort, GateThresholds};
+use ants_bench::{Effort, GateThresholds, GateViolation};
 use ants_dp::{Backend, DpMode};
-use ants_sim::json::{escape, number, Json};
+use ants_obs::Snapshot;
+use ants_sim::json::{escape, Json};
 use ants_sim::MetricSet;
 
 /// What a request asks the daemon to do.
@@ -110,33 +116,28 @@ impl Request {
 
     /// Serialize as one wire line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"op\":\"{}\",\"spec\":\"{}\",\"effort\":\"{}\",\"seed\":{}",
-            self.op.as_str(),
-            escape(&self.spec),
-            self.effort.as_str(),
-            self.seed
-        );
+        let mut fields = vec![
+            ("op", self.op.as_str().into()),
+            ("spec", self.spec.as_str().into()),
+            ("effort", self.effort.as_str().into()),
+            ("seed", self.seed.into()),
+        ];
         if !self.metrics.is_empty() {
             let names: Vec<&str> = self.metrics.iter().map(|m| m.as_str()).collect();
-            out.push_str(&format!(",\"metrics\":\"{}\"", names.join(",")));
+            fields.push(("metrics", names.join(",").into()));
         }
         if let Some(b) = self.backend {
-            out.push_str(&format!(",\"backend\":\"{}\"", b.as_str()));
+            fields.push(("backend", b.as_str().into()));
         }
         if let Some(m) = self.dp_mode {
-            out.push_str(&format!(",\"dp_mode\":\"{}\"", m.as_str()));
+            fields.push(("dp_mode", m.as_str().into()));
         }
         if let Some(t) = self.thresholds {
-            out.push_str(&format!(
-                ",\"metric_rel_tol\":{},\"wall_factor\":{},\"wall_floor_ms\":{}",
-                number(t.metric_rel_tol),
-                number(t.wall_factor),
-                number(t.wall_floor_ms)
-            ));
+            fields.push(("metric_rel_tol", t.metric_rel_tol.into()));
+            fields.push(("wall_factor", t.wall_factor.into()));
+            fields.push(("wall_floor_ms", t.wall_floor_ms.into()));
         }
-        out.push('}');
-        out
+        Json::obj(fields).serialize()
     }
 
     /// Parse one wire line.
@@ -164,13 +165,9 @@ impl Request {
             None => Effort::Standard,
         };
         let seed = match doc.get("seed") {
-            Some(v) => {
-                let x = v.as_number().ok_or_else(|| "\"seed\" must be a number".to_string())?;
-                if x < 0.0 || x.fract() != 0.0 || x > u64::MAX as f64 {
-                    return Err(format!("\"seed\" must be a non-negative integer, got {x}"));
-                }
-                x as u64
-            }
+            Some(v) => v.as_u64().ok_or_else(|| {
+                format!("\"seed\" must be a non-negative integer, got {}", v.serialize())
+            })?,
             None => 0,
         };
         let metrics = match doc.get("metrics").and_then(Json::as_str) {
@@ -217,13 +214,14 @@ pub fn event_of(line: &str) -> Option<String> {
 
 /// Build an `error` event line.
 pub fn error_event(message: &str) -> String {
-    format!("{{\"event\":\"error\",\"message\":\"{}\"}}", escape(message))
+    Json::obj([("event", "error".into()), ("message", message.into())]).serialize()
 }
 
 /// Build the `status` event line that precedes every `submit`/`gate`
 /// body.
 pub fn status_event(key: &str, cached: bool) -> String {
-    format!("{{\"event\":\"status\",\"key\":\"{}\",\"cached\":{cached}}}", escape(key))
+    Json::obj([("event", "status".into()), ("key", key.into()), ("cached", cached.into())])
+        .serialize()
 }
 
 /// Build one `cell` event line from a streamed row. The cells array uses
@@ -236,6 +234,82 @@ pub fn cell_event(index: usize, label: &str, row: &[ants_sim::report::Value]) ->
         escape(label),
         cells.join(",")
     )
+}
+
+/// Build the `ok` event line (the `shutdown` acknowledgement).
+pub fn ok_event(message: &str) -> String {
+    Json::obj([("event", "ok".into()), ("message", message.into())]).serialize()
+}
+
+/// A point-in-time counter snapshot (`stats` responses).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stats {
+    /// Requests accepted (any op).
+    pub requests: u64,
+    /// Submissions served from cache.
+    pub hits: u64,
+    /// Submissions computed on the pool.
+    pub misses: u64,
+    /// Cumulative agent steps the sweep pool executed: the daemon
+    /// telemetry's `engine_steps` counter, which every Monte-Carlo work
+    /// unit adds to at any thread count. A hit leaves it unchanged.
+    pub pool_work: u64,
+    /// Cache entries on disk.
+    pub entries: u64,
+}
+
+/// Build the `stats` event line: the counters first (CI's serve-smoke
+/// parses `pool_work` off this line), then the daemon's telemetry
+/// snapshot as a nested object.
+pub fn stats_event(s: &Stats, telemetry: &Snapshot) -> String {
+    Json::obj([
+        ("event", "stats".into()),
+        ("requests", s.requests.into()),
+        ("hits", s.hits.into()),
+        ("misses", s.misses.into()),
+        ("pool_work", s.pool_work.into()),
+        ("entries", s.entries.into()),
+        ("telemetry", telemetry.to_json()),
+    ])
+    .serialize()
+}
+
+/// Build the `gate` event line. `compared` is `None` when the workload
+/// has no baseline entry yet (the gate passes, with a note); otherwise
+/// the baseline's cache key and either the violation list or the reason
+/// the two reports could not be compared, which fails the gate loudly
+/// rather than passing it vacuously.
+pub fn gate_event(compared: Option<(&str, Result<&[GateViolation], &str>)>) -> String {
+    let (baseline, pass, violations, note) = match compared {
+        None => (Json::Null, true, &[][..], Some("no baseline entry for this workload yet")),
+        Some((key, Ok(violations))) => (key.into(), violations.is_empty(), violations, None),
+        Some((key, Err(e))) => (key.into(), false, &[][..], Some(e)),
+    };
+    let violations = violations.iter().map(|v| {
+        Json::obj([
+            ("cell", v.cell.as_str().into()),
+            ("column", v.column.as_str().into()),
+            ("baseline", v.baseline.as_str().into()),
+            ("current", v.current.as_str().into()),
+            ("detail", v.detail.as_str().into()),
+        ])
+    });
+    let mut fields = vec![
+        ("event", "gate".into()),
+        ("baseline", baseline),
+        ("pass", pass.into()),
+        ("violations", Json::Arr(violations.collect())),
+    ];
+    if let Some(note) = note {
+        fields.push(("note", note.into()));
+    }
+    Json::obj(fields).serialize()
+}
+
+/// Build the `report` event line, the last line of a response body. It
+/// splices the report writer's document verbatim.
+pub fn report_event(report_json: &str) -> String {
+    format!("{{\"event\":\"report\",\"report\":{report_json}}}")
 }
 
 #[cfg(test)]
@@ -263,6 +337,11 @@ mod tests {
         let names: Vec<&str> = back.metrics.iter().map(|m| m.as_str()).collect();
         assert_eq!(names, ["coverage", "chi"]);
         assert_eq!(back.thresholds.unwrap().metric_rel_tol, 0.1);
+        // Seeds past 2^53 ride as exact integers, not rounded doubles.
+        for seed in [(1u64 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            req.seed = seed;
+            assert_eq!(Request::parse(&req.to_json()).unwrap().seed, seed);
+        }
     }
 
     #[test]
@@ -308,5 +387,117 @@ mod tests {
         assert!(cells[1].as_number().unwrap().is_nan(), "NaN survives the wire");
         assert_eq!(event_of(&error_event("boom \"quoted\"")).as_deref(), Some("error"));
         assert_eq!(event_of("not json"), None);
+    }
+
+    fn pinned_snapshot() -> Snapshot {
+        let mut snap = Snapshot { uptime_ns: 9_876_543_210, ..Snapshot::default() };
+        snap.counters[ants_obs::Counter::ServeHits as usize] = 5;
+        snap.counters[ants_obs::Counter::EngineSteps as usize] = u64::MAX;
+        snap.worker_units = vec![3, 1];
+        snap.hit_latency[7] = 2;
+        snap.plans.push(ants_obs::PlanDecision {
+            job: 1,
+            granularity: "trial".to_string(),
+            agents: 4,
+            weight: 4_096,
+            sweep_trials: 12,
+            threads: 2,
+            chunk: 4,
+            split_weight: 1 << 12,
+            saturation: 4,
+        });
+        snap
+    }
+
+    fn pinned_request() -> Request {
+        let mut req = Request::submit("name = \"pin\"\n\t# caf\u{e9} \u{1f41c}\u{1}\n");
+        req.op = Op::Gate;
+        req.effort = Effort::Smoke;
+        req.seed = u64::MAX;
+        req.metrics = MetricSet::parse_list("coverage,chi").unwrap();
+        req.backend = Some(Backend::Mc);
+        req.dp_mode = Some(DpMode::Auto);
+        req.thresholds =
+            Some(GateThresholds { metric_rel_tol: 0.125, wall_factor: 3.0, wall_floor_ms: -0.0 });
+        req
+    }
+
+    /// Every wire-line builder's bytes as the hand-written `format!`
+    /// builders printed them; the tree-built writers must match exactly.
+    const PINNED_LINES: [&str; 10] = [
+        r#"{"event":"status","key":"abc-s0-standard-local","cached":true}"#,
+        r#"{"event":"error","message":"boom \"quoted\"\nnext"}"#,
+        r#"{"event":"ok","message":"shutting down"}"#,
+        concat!(
+            r#"{"event":"stats","requests":7,"hits":3,"misses":2,"#,
+            r#""pool_work":1152921504606846976,"entries":2,"#,
+            r#""telemetry":{"schema":"ants-telemetry/v1","pool":{"units":0,"steals":0,"#,
+            r#""polls":0,"busy_ns":0,"idle_ns":0,"reduces":0,"worker_units":[3,1],"#,
+            r#""worker_steals":[],"worker_polls":[],"worker_busy_ns":[],"worker_idle_ns":[]},"#,
+            r#""engine":{"steps":18446744073709551615,"hint_polls":0,"hint_clamps":0,"#,
+            r#""hint_steps_saved":0},"phases":{"plan_ns":0,"plan_spans":0,"execute_ns":0,"#,
+            r#""execute_spans":0,"reduce_ns":0,"reduce_spans":0,"report_ns":0,"#,
+            r#""report_spans":0,"dp_solve_ns":0,"dp_solve_spans":0},"#,
+            r#""serve":{"uptime_ns":9876543210,"submit":0,"gate":0,"stats":0,"shutdown":0,"#,
+            r#""hits":5,"misses":0,"cache_entries":0,"cache_bytes":0,"hit_latency_ns":[0,0,0,"#,
+            r#"0,0,0,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"#,
+            r#""miss_latency_ns":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"#,
+            r#"0,0,0,0,0,0,0,0,0,0]},"dp":{"solves":0,"memo_hits":0,"memo_misses":0},"#,
+            r#""plans":{"decisions":[{"job":1,"granularity":"trial","agents":4,"weight":4096,"#,
+            r#""sweep_trials":12,"threads":2,"chunk":4,"split_weight":4096,"#,
+            r#""saturation":4}]}}}"#,
+        ),
+        concat!(
+            r#"{"event":"gate","baseline":null,"pass":true,"violations":[],"#,
+            r#""note":"no baseline entry for this workload yet"}"#,
+        ),
+        concat!(
+            r#"{"event":"gate","baseline":"k-s1-smoke-local","pass":false,"#,
+            r#""violations":[{"cell":"c \"1\"","column":"mean","baseline":"1.5","#,
+            r#""current":"NaN","detail":"drift\tbeyond 5%"}]}"#,
+        ),
+        concat!(
+            r#"{"event":"gate","baseline":"k-s1-smoke-local","pass":false,"violations":[],"#,
+            r#""note":"column sets differ (2 vs 3 columns)"}"#,
+        ),
+        r#"{"event":"cell","index":4,"label":"c\"x","cells":["c\"x","NaN",2.5]}"#,
+        concat!(
+            r#"{"op":"gate","spec":"name = \"pin\"\n\t# café 🐜\u0001\n","effort":"smoke","#,
+            r#""seed":18446744073709551615,"metrics":"coverage,chi","backend":"mc","#,
+            r#""dp_mode":"auto","metric_rel_tol":0.125,"wall_factor":3,"wall_floor_ms":-0}"#,
+        ),
+        r#"{"op":"stats","spec":"","effort":"standard","seed":0}"#,
+    ];
+
+    #[test]
+    fn event_bytes_are_pinned() {
+        let stats = Stats { requests: 7, hits: 3, misses: 2, pool_work: 1 << 60, entries: 2 };
+        let violation = GateViolation {
+            cell: "c \"1\"".to_string(),
+            column: "mean".to_string(),
+            baseline: "1.5".to_string(),
+            current: "NaN".to_string(),
+            detail: "drift\tbeyond 5%".to_string(),
+        };
+        let row = vec![
+            ants_sim::report::Value::Text("c\"x".into()),
+            ants_sim::report::Value::Num(f64::NAN),
+            ants_sim::report::Value::Num(2.5),
+        ];
+        let lines = [
+            status_event("abc-s0-standard-local", true),
+            error_event("boom \"quoted\"\nnext"),
+            ok_event("shutting down"),
+            stats_event(&stats, &pinned_snapshot()),
+            gate_event(None),
+            gate_event(Some(("k-s1-smoke-local", Ok(std::slice::from_ref(&violation))))),
+            gate_event(Some(("k-s1-smoke-local", Err("column sets differ (2 vs 3 columns)")))),
+            cell_event(4, "c\"x", &row),
+            pinned_request().to_json(),
+            Request::bare(Op::Stats).to_json(),
+        ];
+        for (line, pinned) in lines.iter().zip(PINNED_LINES) {
+            assert_eq!(line, pinned);
+        }
     }
 }

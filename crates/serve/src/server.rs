@@ -15,10 +15,13 @@
 //!   keeps serving.
 
 use crate::cache::{self, cache_key, Entry, ADDR_FILE};
-use crate::protocol::{cell_event, error_event, status_event, Op, Request};
+use crate::protocol::{
+    cell_event, error_event, gate_event, ok_event, report_event, stats_event, status_event, Op,
+    Request, Stats,
+};
 use ants_bench::{gate_report, RunConfig, WorkloadExperiment};
 use ants_obs::{Counter, Gauge, LatencyKind, Telemetry};
-use ants_sim::json::{escape, Json};
+use ants_sim::json::Json;
 use ants_sim::{Granularity, SweepOptions};
 use ants_workload::{WorkloadPlan, WorkloadSpec};
 use std::io::{BufRead, BufReader, Write};
@@ -55,23 +58,6 @@ impl ServeOptions {
             chunk: None,
         }
     }
-}
-
-/// A point-in-time counter snapshot (`stats` responses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stats {
-    /// Requests accepted (any op).
-    pub requests: u64,
-    /// Submissions served from cache.
-    pub hits: u64,
-    /// Submissions computed on the pool.
-    pub misses: u64,
-    /// Cumulative agent steps the sweep pool executed: the daemon
-    /// telemetry's `engine_steps` counter, which every Monte-Carlo work
-    /// unit adds to at any thread count. A hit leaves it unchanged.
-    pub pool_work: u64,
-    /// Cache entries on disk.
-    pub entries: u64,
 }
 
 struct State {
@@ -265,25 +251,12 @@ fn handle(stream: TcpStream, state: &State) {
         Op::Stats => {
             state.telemetry.incr(0, Counter::ServeStats);
             state.refresh_cache_gauges();
-            let s = state.stats();
-            // One line, existing fields first: CI's serve-smoke parses
-            // `pool_work` off this line, and the `telemetry` block rides
-            // behind it as a nested single-line object.
-            let _ = writeln!(
-                out,
-                "{{\"event\":\"stats\",\"requests\":{},\"hits\":{},\"misses\":{},\
-                 \"pool_work\":{},\"entries\":{},\"telemetry\":{}}}",
-                s.requests,
-                s.hits,
-                s.misses,
-                s.pool_work,
-                s.entries,
-                state.telemetry.snapshot().to_inline_json()
-            );
+            let line = stats_event(&state.stats(), &state.telemetry.snapshot());
+            let _ = writeln!(out, "{line}");
         }
         Op::Shutdown => {
             state.telemetry.incr(0, Counter::ServeShutdown);
-            let _ = writeln!(out, "{{\"event\":\"ok\",\"message\":\"shutting down\"}}");
+            let _ = writeln!(out, "{}", ok_event("shutting down"));
             state.shutdown.store(true, Ordering::SeqCst);
             // Wake the accept loop so it observes the flag.
             let _ = TcpStream::connect(state.addr);
@@ -391,7 +364,7 @@ fn submit(out: &mut TcpStream, state: &State, req: &Request) -> Result<SubmitOut
         .map_err(|e| e.to_string())?;
     report.set_wall_ms(started.elapsed().as_secs_f64() * 1e3);
     let report_json = report.to_json();
-    let line = format!("{{\"event\":\"report\",\"report\":{report_json}}}");
+    let line = report_event(&report_json);
     let _ = writeln!(out, "{line}");
     body.push_str(&line);
     body.push('\n');
@@ -407,55 +380,18 @@ fn submit(out: &mut TcpStream, state: &State, req: &Request) -> Result<SubmitOut
 /// cache entry for the same workload and emit a `gate` event.
 fn gate(out: &mut TcpStream, state: &State, req: &Request, outcome: &SubmitOutcome) {
     let thresholds = req.thresholds.unwrap_or_default();
-    let Some(baseline) = cache::latest_baseline(&state.opts.cache, &outcome.wkey, &outcome.key)
-    else {
-        let _ = writeln!(
-            out,
-            "{{\"event\":\"gate\",\"baseline\":null,\"pass\":true,\"violations\":[],\
-             \"note\":\"no baseline entry for this workload yet\"}}"
-        );
-        return;
+    let line = match cache::latest_baseline(&state.opts.cache, &outcome.wkey, &outcome.key) {
+        None => gate_event(None),
+        Some(baseline) => {
+            let compared = baseline.report_text(&outcome.wkey).and_then(|base_text| {
+                let base =
+                    Json::parse(&base_text).map_err(|e| format!("baseline unparsable: {e}"))?;
+                let cur = Json::parse(&outcome.report_json)
+                    .map_err(|e| format!("current report unparsable: {e}"))?;
+                gate_report(&base, &cur, &thresholds)
+            });
+            gate_event(Some((&baseline.key, compared.as_deref().map_err(String::as_str))))
+        }
     };
-    let compared = baseline.report_text(&outcome.wkey).and_then(|base_text| {
-        let base = Json::parse(&base_text).map_err(|e| format!("baseline unparsable: {e}"))?;
-        let cur = Json::parse(&outcome.report_json)
-            .map_err(|e| format!("current report unparsable: {e}"))?;
-        gate_report(&base, &cur, &thresholds)
-    });
-    match compared {
-        Ok(violations) => {
-            let rendered: Vec<String> = violations
-                .iter()
-                .map(|v| {
-                    format!(
-                        "{{\"cell\":\"{}\",\"column\":\"{}\",\"baseline\":\"{}\",\
-                         \"current\":\"{}\",\"detail\":\"{}\"}}",
-                        escape(&v.cell),
-                        escape(&v.column),
-                        escape(&v.baseline),
-                        escape(&v.current),
-                        escape(&v.detail)
-                    )
-                })
-                .collect();
-            let _ = writeln!(
-                out,
-                "{{\"event\":\"gate\",\"baseline\":\"{}\",\"pass\":{},\"violations\":[{}]}}",
-                escape(&baseline.key),
-                violations.is_empty(),
-                rendered.join(",")
-            );
-        }
-        Err(e) => {
-            // Apples-to-oranges comparisons fail the gate loudly rather
-            // than passing vacuously.
-            let _ = writeln!(
-                out,
-                "{{\"event\":\"gate\",\"baseline\":\"{}\",\"pass\":false,\"violations\":[],\
-                 \"note\":\"{}\"}}",
-                escape(&baseline.key),
-                escape(&e)
-            );
-        }
-    }
+    let _ = writeln!(out, "{line}");
 }

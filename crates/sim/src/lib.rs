@@ -34,8 +34,8 @@
 //!   (collision-checked, so new streams cannot alias existing ones);
 //! * [`report`] — typed records, fixed-width tables, and CSV output for
 //!   the experiment harnesses;
-//! * [`json`] — a dependency-free JSON writer/parser for machine-readable
-//!   reports (the workspace builds offline; no serde).
+//! * [`json`] — the workspace's one JSON value model, re-exported from
+//!   `ants_obs::json` (the workspace builds offline; no serde).
 //!
 //! The engine exploits the model's defining feature: agents do not
 //! communicate, so their trajectories are independent and each can be
@@ -66,7 +66,6 @@
 
 pub mod coverage;
 mod engine;
-pub mod json;
 mod metrics;
 pub mod observe;
 pub mod report;
@@ -76,6 +75,7 @@ mod scenario;
 mod sched;
 mod stepping;
 
+pub use ants_obs::json;
 pub use engine::{run_trial, run_trials_serial, CapHint, ChunkRun, TrialPlan};
 pub use metrics::{Outcome, Summary, TrialResult};
 pub use observe::{

@@ -1,5 +1,6 @@
 //! A minimal, dependency-free TOML-subset parser producing the
-//! [`ants_sim::json::Json`] value model.
+//! workspace's one JSON value model, [`Json`] (`ants_obs::json`,
+//! re-exported as `ants_sim::json`).
 //!
 //! The workspace builds fully offline, so workload specs cannot lean on
 //! a real TOML crate. This parser covers the subset the workload format
@@ -17,8 +18,9 @@
 //! multi-line/literal strings, dates, `+`/`_` digit separators, and
 //! nested `[[a.b]]` under an array element.
 //!
-//! Numbers map to [`Json::Num`] (`f64`) — workload quantities are well
-//! inside the exact-integer range. Object keys keep document order, so a
+//! Numbers map to [`Json::Num`] (`f64`), integers included; the spec
+//! layer reads them through [`Json::as_f64`] — workload quantities are
+//! well inside the exact-integer range. Object keys keep document order, so a
 //! serializer round-trip test can assert field order.
 
 use ants_sim::json::Json;
