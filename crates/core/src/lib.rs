@@ -58,7 +58,7 @@ mod uniform_n;
 pub use ants_automaton::GridAction;
 pub use non_uniform::{CoinNonUniformSearch, NonUniformSearch};
 pub use selection::SelectionComplexity;
-pub use strategy::{apply_action, SearchStrategy};
+pub use strategy::{apply_action, SearchStrategy, Stride};
 pub use uniform::UniformSearch;
 pub use uniform_n::FullyUniformSearch;
 

@@ -79,6 +79,73 @@ pub trait SearchStrategy: Send {
     fn is_halted(&self) -> bool {
         false
     }
+
+    /// Take [`step`](SearchStrategy::step)s until the first of: the
+    /// `max_moves`-th move, an [`GridAction::Origin`], `max_steps` steps,
+    /// or [`is_halted`](SearchStrategy::is_halted) (polled before every
+    /// step). Both bounds must be at least 1.
+    ///
+    /// The default body is instantiated once per implementor, so `step`
+    /// and `is_halted` are static calls inside it: a simulator holding a
+    /// `Box<dyn SearchStrategy>` pays one dynamic call per stride instead
+    /// of two per step. It is exactly repeated `step` calls — same
+    /// actions, same RNG draws, same final strategy state.
+    ///
+    /// An implementor may override this only with a body that is
+    /// draw-for-draw equivalent to the default: every golden and
+    /// determinism test of the simulator relies on a stride being
+    /// indistinguishable from the steps it replaces.
+    fn advance(&mut self, rng: &mut DefaultRng, max_moves: u64, max_steps: u64) -> Stride {
+        debug_assert!(max_moves >= 1 && max_steps >= 1, "empty stride");
+        let mut s = Stride::default();
+        while s.steps < max_steps && !self.is_halted() {
+            let action = self.step(rng);
+            s.steps += 1;
+            match action {
+                GridAction::Move(d) => {
+                    let (dx, dy) = d.delta();
+                    s.dx += dx;
+                    s.dy += dy;
+                    s.moves += 1;
+                    if s.moves == max_moves {
+                        break;
+                    }
+                }
+                GridAction::Origin => {
+                    s = Stride { dx: 0, dy: 0, ended_on_origin: true, ..s };
+                    break;
+                }
+                GridAction::None => {}
+            }
+        }
+        s
+    }
+}
+
+/// What one [`SearchStrategy::advance`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[must_use]
+pub struct Stride {
+    /// Net horizontal displacement of the stride's moves; zero when the
+    /// stride ended on an `Origin` (the teleport erases the moves before
+    /// it, and the stride stops there).
+    pub dx: i64,
+    /// Net vertical displacement, as `dx`.
+    pub dy: i64,
+    /// Moves taken (`M_moves` events), including any before an `Origin`.
+    pub moves: u64,
+    /// Steps taken (`M_steps` events).
+    pub steps: u64,
+    /// Did the stride end on an `Origin` action (the agent is home)?
+    pub ended_on_origin: bool,
+}
+
+impl Stride {
+    /// The position a stride started at `from` ends at.
+    pub fn apply(&self, from: Point) -> Point {
+        let base = if self.ended_on_origin { Point::ORIGIN } else { from };
+        Point::new(base.x + self.dx, base.y + self.dy)
+    }
 }
 
 /// Apply a strategy's action to a position, per the model's semantics.
@@ -141,5 +208,45 @@ mod tests {
         let mut d = Dummy { resets: 0 };
         d.abort_guess();
         assert_eq!(d.resets, 1, "default abort_guess must delegate to reset");
+    }
+
+    /// Plays a fixed action script, then `None` forever.
+    struct Script(Vec<GridAction>);
+
+    impl SearchStrategy for Script {
+        fn name(&self) -> &'static str {
+            "script"
+        }
+        fn step(&mut self, _rng: &mut DefaultRng) -> GridAction {
+            if self.0.is_empty() {
+                GridAction::None
+            } else {
+                self.0.remove(0)
+            }
+        }
+        fn selection_complexity(&self) -> SelectionComplexity {
+            SelectionComplexity::new(0, 0)
+        }
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    fn advance_stops_at_each_bound() {
+        use GridAction::{Move, None as Stay, Origin};
+        let (up, right) = (Move(Direction::Up), Move(Direction::Right));
+        let mut rng = ants_rng::derive_rng(0, 0);
+        let mut s = Script(vec![up, Stay, right, Origin, right, up, Stay, Stay, up]);
+        // Ends right after the Origin; the moves before it still count.
+        let a = s.advance(&mut rng, 10, 10);
+        assert_eq!(a, Stride { dx: 0, dy: 0, moves: 2, steps: 4, ended_on_origin: true });
+        assert_eq!(a.apply(Point::new(7, 7)), Point::ORIGIN);
+        // Ends on the max_moves-th move, before the steps that follow it.
+        let b = s.advance(&mut rng, 2, 10);
+        assert_eq!(b, Stride { dx: 1, dy: 1, moves: 2, steps: 2, ended_on_origin: false });
+        assert_eq!(b.apply(Point::new(2, 3)), Point::new(3, 4));
+        // Ends at max_steps.
+        let c = s.advance(&mut rng, 10, 2);
+        assert_eq!((c.moves, c.steps), (0, 2));
+        assert_eq!(s.advance(&mut rng, 10, 10).moves, 1);
     }
 }

@@ -1,9 +1,12 @@
 //! Property-based tests for the search strategies.
 
-use ants_core::baselines::{HarmonicSearch, LevyWalk, RandomWalk, SpiralSearch};
+use ants_automaton::library;
+use ants_core::baselines::{
+    AutomatonStrategy, Expiring, HarmonicSearch, LevyWalk, Mortal, RandomWalk, SpiralSearch,
+};
 use ants_core::{
-    apply_action, CoinNonUniformSearch, FullyUniformSearch, NonUniformSearch, SearchStrategy,
-    UniformSearch,
+    apply_action, CoinNonUniformSearch, FullyUniformSearch, GridAction, NonUniformSearch,
+    SearchStrategy, UniformSearch,
 };
 use ants_grid::Point;
 use ants_rng::derive_rng;
@@ -23,8 +26,74 @@ fn all_strategies(d: u64, ell: u32, n: u64) -> Vec<Box<dyn SearchStrategy>> {
     ]
 }
 
+/// [`all_strategies`] plus an automaton and the two finite-lifetime
+/// wrappers, whose `is_halted` a stride must poll.
+fn stride_strategies(d: u64, ell: u32, n: u64) -> Vec<Box<dyn SearchStrategy>> {
+    let mut out = all_strategies(d, ell, n);
+    out.push(Box::new(AutomatonStrategy::new(library::algorithm1(3).expect("valid"))));
+    out.push(Box::new(Mortal::new(RandomWalk::new(), 5)));
+    out.push(Box::new(Expiring::new(Box::new(NonUniformSearch::new(d).expect("valid")), 7)));
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `advance` is exactly repeated `step`: same end position, moves,
+    /// steps, RNG state and strategy state, stopping at the
+    /// `max_moves`-th move, right after an `Origin`, at `max_steps`, or
+    /// when the strategy halts.
+    #[test]
+    fn advance_is_repeated_step(
+        d in 2u64..100,
+        ell in 1u32..4,
+        n in 1u64..32,
+        max_moves in 1u64..40,
+        max_steps in 1u64..200,
+        seed in any::<u64>(),
+    ) {
+        for (mut a, mut b) in stride_strategies(d, ell, n)
+            .into_iter()
+            .zip(stride_strategies(d, ell, n))
+        {
+            let mut ra = derive_rng(seed, 82);
+            let mut rb = derive_rng(seed, 82);
+            let start = Point::new(5, -3);
+            let (mut pa, mut pb) = (start, start);
+            for _ in 0..16 {
+                let stride = a.advance(&mut ra, max_moves, max_steps);
+                pa = stride.apply(pa);
+                let (mut moves, mut steps, mut on_origin) = (0u64, 0u64, false);
+                while steps < max_steps && !b.is_halted() {
+                    let action = b.step(&mut rb);
+                    steps += 1;
+                    pb = apply_action(pb, action);
+                    if action == GridAction::Origin {
+                        on_origin = true;
+                        break;
+                    }
+                    if action.is_move() {
+                        moves += 1;
+                        if moves == max_moves {
+                            break;
+                        }
+                    }
+                }
+                prop_assert_eq!(
+                    (pa, stride.moves, stride.steps, stride.ended_on_origin),
+                    (pb, moves, steps, on_origin),
+                    "{}: stride diverges from its steps",
+                    a.name()
+                );
+                prop_assert_eq!(&ra, &rb, "{}: RNG state diverges", a.name());
+                prop_assert_eq!(a.selection_complexity(), b.selection_complexity());
+                prop_assert_eq!(a.is_halted(), b.is_halted());
+            }
+            for _ in 0..64 {
+                prop_assert_eq!(a.step(&mut ra), b.step(&mut rb), "{}: state diverges", a.name());
+            }
+        }
+    }
 
     /// Every strategy produces a legal action stream: positions change by
     /// at most one per step, and moves are counted iff the action moves.
@@ -141,4 +210,19 @@ fn declared_ell_matches_composite_construction() {
         // k * ell covers log2 D.
         assert!(u64::from(agent.k()) * u64::from(ell) >= 64 - (d - 1).leading_zeros() as u64);
     }
+}
+
+/// A halted strategy's stride returns at once instead of spinning on
+/// `None` steps up to an unbounded step limit.
+#[test]
+fn advance_returns_on_a_halted_strategy() {
+    let mut e = Expiring::new(Box::new(RandomWalk::new()), 3);
+    let mut rng = derive_rng(4, 0);
+    let first = e.advance(&mut rng, u64::MAX, u64::MAX);
+    assert_eq!(first.moves, 3, "the stride runs to the expiry");
+    assert!(e.is_halted());
+    let before = rng.clone();
+    let again = e.advance(&mut rng, u64::MAX, u64::MAX);
+    assert_eq!((again.moves, again.steps), (0, 0));
+    assert_eq!(rng, before, "a halted stride draws nothing");
 }

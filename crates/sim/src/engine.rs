@@ -81,7 +81,9 @@ impl CapHint {
 }
 
 /// How many steps a hinted agent runs between polls of the shared cap
-/// hint. Polling is one relaxed atomic load; 64 steps keeps even that off
+/// hint. Polls fall on stride boundaries: a hinted agent's strides end
+/// at every multiple of 64 steps, where it reads the hint (one relaxed
+/// atomic load) before starting the next. 64 steps keeps even that off
 /// the hot path while bounding post-publish overshoot to a rounding
 /// error.
 const HINT_POLL_MASK: u64 = 0x3F;
@@ -97,7 +99,7 @@ const HINT_POLL_MASK: u64 = 0x3F;
 /// single word) and hands each agent a `(start, end)` span. Lookups
 /// binary-search the span — breakpoint move counts are strictly
 /// increasing within it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct ChiArena {
     /// Breakpoint move counts, strictly increasing within each span.
     moves: Vec<u64>,
@@ -137,11 +139,12 @@ impl ChiArena {
 /// shared [`CapHint`] may lower `cap` mid-run; that only moves the stop
 /// point between the serial stop and the unhinted speculative stop, which
 /// the reduction treats identically.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct AgentRun {
-    /// The cap this agent ran with (always >= 1; a chunk truncates when
-    /// its local cap reaches zero). A mid-run hint records the lowered
-    /// cap — still never below the serial cap.
+    /// The cap this agent ran with (at least 1 at its start; a chunk
+    /// truncates when its local cap reaches zero). A mid-run hint records
+    /// the lowered cap — still never below the serial cap, and never
+    /// below the moves actually run.
     cap: u64,
     /// Moves until the target, if found within `cap`.
     moves: Option<u64>,
@@ -169,14 +172,16 @@ struct AgentRun {
 /// Simulate one agent until it finds `target`, exhausts `cap` moves, or
 /// (with a guess ceiling) keeps aborting overlong excursions.
 ///
-/// This drives the shared stepping core ([`AgentStepper`] owns the
-/// transition semantics: action draw, move/step accounting, target
-/// check, ceiling abort) under the engine's cap policy. With an `arena`
-/// the running-max footprint is snapshotted after every completed move
-/// (including that move's abort processing), producing the breakpoint
-/// span [`ChiArena::chi_at`] evaluates. With a `hint`, the cap is
-/// periodically lowered toward finds published by earlier chunks — never
-/// below what the agent has already run, and never below the serial cap.
+/// This drives the shared stepping core one stride at a time
+/// ([`AgentStepper`] owns the transition semantics and the stride bounds
+/// that keep the target and ceiling checks exact; this loop adds the
+/// engine's cap policy). With an `arena` every stride is one move, and
+/// the running-max footprint is snapshotted after it (including that
+/// move's abort processing), producing the breakpoint span
+/// [`ChiArena::chi_at`] evaluates. With a `hint`, strides also end at
+/// every [`HINT_POLL_MASK`] step boundary, where the cap is lowered
+/// toward finds published by earlier chunks — never below what the agent
+/// has already run, and never below the serial cap.
 fn run_agent(
     scenario: &Scenario,
     trial_seed: u64,
@@ -198,14 +203,14 @@ fn run_agent(
     let mut found = false;
     let mut hint_polls = 0u64;
     let mut hint_clamps = 0u64;
-    // A target is "found" when the agent's position coincides with it;
-    // the origin case is excluded by TargetPlacement's invariants. The
-    // loop is bounded by moves, so a permanently halted strategy (a
+    // The loop is bounded by moves, so a permanently halted strategy (a
     // mortal wrapper past its expiry never moves again) must break out
     // explicitly.
     while stepper.moves() < cap && !stepper.halted() {
+        let mut max_steps = u64::MAX;
         if let Some((h, chunk_idx)) = hint {
-            if stepper.steps() & HINT_POLL_MASK == 0 {
+            let phase = stepper.steps() & HINT_POLL_MASK;
+            if phase == 0 {
                 hint_polls += 1;
                 let hinted = h.cap_for(chunk_idx);
                 if hinted < cap {
@@ -214,21 +219,27 @@ fn run_agent(
                     // be where the loop actually halted.
                     cap = hinted.max(stepper.moves());
                     hint_clamps += 1;
+                    if stepper.moves() == cap {
+                        // Clamped to the moves already run: one more
+                        // stride would overrun the recorded cap.
+                        break;
+                    }
                 }
             }
+            max_steps = HINT_POLL_MASK + 1 - phase;
         }
-        let out = stepper.step();
-        if out.found {
+        let moves = stepper.moves();
+        // A recorded curve needs a breakpoint after every move.
+        let max_moves = if arena.is_some() { 1 } else { cap - moves };
+        if stepper.stride(max_moves, max_steps) {
             found = true;
             break;
         }
-        if out.moved {
-            if let Some(a) = arena.as_deref_mut() {
-                let at = stepper.chi();
-                if last_chi != Some(at) {
-                    a.push(stepper.moves(), at);
-                    last_chi = Some(at);
-                }
+        if let Some(a) = arena.as_deref_mut().filter(|_| stepper.moves() > moves) {
+            let at = stepper.chi();
+            if last_chi != Some(at) {
+                a.push(stepper.moves(), at);
+                last_chi = Some(at);
             }
         }
     }
@@ -623,9 +634,15 @@ pub fn run_trials_serial(scenario: &Scenario, n_trials: u64, base_seed: u64) -> 
 mod tests {
     use super::*;
     use crate::run_trials;
-    use ants_core::baselines::{RandomWalk, SpiralSearch};
-    use ants_core::NonUniformSearch;
+    use ants_automaton::library;
+    use ants_core::baselines::{
+        AutomatonStrategy, Expiring, HarmonicSearch, LevyWalk, Mortal, RandomWalk, SpiralSearch,
+    };
+    use ants_core::{
+        CoinNonUniformSearch, FullyUniformSearch, NonUniformSearch, SearchStrategy, UniformSearch,
+    };
     use ants_grid::TargetPlacement;
+    use std::sync::Arc;
 
     fn spiral_scenario(d: u64, n: usize) -> Scenario {
         Scenario::builder()
@@ -820,5 +837,211 @@ mod tests {
         let plan = TrialPlan::new(&s, 1, 2);
         let (a, b) = (plan.run_chunk(0), plan.run_chunk(1));
         let _ = plan.reduce(&[b, a]);
+    }
+
+    /// The per-step loop the strided [`run_agent`] replaced, kept as the
+    /// reference it must reproduce: one [`AgentStepper::step`] per
+    /// iteration, a hint poll before every step whose count is a
+    /// multiple of 64, and a curve breakpoint after every move. It
+    /// carries the post-clamp stop of `hint_clamp_to_moves_run_does_no_more_work`.
+    fn run_agent_stepwise(
+        scenario: &Scenario,
+        trial_seed: u64,
+        target: Point,
+        agent_idx: usize,
+        mut cap: u64,
+        arena: Option<&mut ChiArena>,
+        hint: Option<(&CapHint, usize)>,
+    ) -> AgentRun {
+        let mut stepper = AgentStepper::for_scenario(scenario, trial_seed, Some(target), agent_idx);
+        let mut arena = arena.filter(|_| !stepper.chi_static());
+        let start = arena.as_deref().map_or(0, ChiArena::mark);
+        let mut last_chi: Option<SelectionComplexity> = None;
+        let mut found = false;
+        let (mut hint_polls, mut hint_clamps) = (0u64, 0u64);
+        while stepper.moves() < cap && !stepper.halted() {
+            if let Some((h, chunk_idx)) = hint {
+                if stepper.steps() & HINT_POLL_MASK == 0 {
+                    hint_polls += 1;
+                    let hinted = h.cap_for(chunk_idx);
+                    if hinted < cap {
+                        cap = hinted.max(stepper.moves());
+                        hint_clamps += 1;
+                        if stepper.moves() == cap {
+                            break;
+                        }
+                    }
+                }
+            }
+            let out = stepper.step();
+            if out.found {
+                found = true;
+                break;
+            }
+            if out.moved {
+                if let Some(a) = arena.as_deref_mut() {
+                    let at = stepper.chi();
+                    if last_chi != Some(at) {
+                        a.push(stepper.moves(), at);
+                        last_chi = Some(at);
+                    }
+                }
+            }
+        }
+        let end = arena.map_or(start, |a| a.mark());
+        AgentRun {
+            cap,
+            moves: found.then(|| stepper.moves()),
+            steps: found.then(|| stepper.steps()),
+            work: stepper.steps(),
+            hint_polls,
+            hint_clamps,
+            chi: stepper.chi(),
+            curve: (start, end),
+        }
+    }
+
+    type Family = Arc<dyn Fn() -> Box<dyn SearchStrategy> + Send + Sync>;
+
+    /// Every MC zoo family (plus a geometric `Mortal`), bare and under
+    /// `mortal(·, 1)` / `mortal(·, 7)` expiry wrappers.
+    fn zoo_families() -> Vec<(String, Family)> {
+        let mut pfa_rng = ants_rng::derive_rng(7, 0);
+        let pfa = library::random_pfa(6, 3, &mut pfa_rng);
+        let bare: Vec<(&str, Family)> = vec![
+            ("randomwalk", Arc::new(|| Box::new(RandomWalk::new()))),
+            ("spiral", Arc::new(|| Box::new(SpiralSearch::new()))),
+            ("nonuniform", Arc::new(|| Box::new(NonUniformSearch::new(6).expect("valid")))),
+            ("coin", Arc::new(|| Box::new(CoinNonUniformSearch::new(6, 2).expect("valid")))),
+            ("uniform", Arc::new(|| Box::new(UniformSearch::new(2, 4, 2).expect("valid")))),
+            ("fullyuniform", Arc::new(|| Box::new(FullyUniformSearch::new(2, 2).expect("valid")))),
+            ("harmonic", Arc::new(|| Box::new(HarmonicSearch::new(4)))),
+            ("levy", Arc::new(|| Box::new(LevyWalk::new(2.0, 64)))),
+            ("geometric mortal", Arc::new(|| Box::new(Mortal::new(RandomWalk::new(), 6)))),
+            (
+                "automaton(lazy)",
+                Arc::new(|| Box::new(AutomatonStrategy::new(library::lazy_random_walk()))),
+            ),
+            (
+                "automaton(line)",
+                Arc::new(|| Box::new(AutomatonStrategy::new(library::straight_line()))),
+            ),
+            (
+                "automaton(alg1)",
+                Arc::new(|| {
+                    Box::new(AutomatonStrategy::new(library::algorithm1(3).expect("valid")))
+                }),
+            ),
+            ("automaton(pfa)", Arc::new(move || Box::new(AutomatonStrategy::new(pfa.clone())))),
+        ];
+        let mut out = Vec::new();
+        for (name, make) in bare {
+            for expiry in [None, Some(1u64), Some(7)] {
+                let make = Arc::clone(&make);
+                match expiry {
+                    None => out.push((name.to_string(), make)),
+                    Some(e) => out.push((
+                        format!("mortal({name}, {e})"),
+                        Arc::new(move || {
+                            Box::new(Expiring::new(make(), e)) as Box<dyn SearchStrategy>
+                        }),
+                    )),
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn strided_run_agent_matches_the_stepwise_reference() {
+        const D: u64 = 6;
+        const BUDGET: u64 = 3_000;
+        let near = TargetPlacement::Fixed(Point::new(1, 0));
+        let far = TargetPlacement::UniformInBall { distance: D };
+        // (target, guess ceiling): ceilings of 1 (only a distance-1
+        // target admits one) and 2·D², and none.
+        let settings = [
+            (far, None),
+            (far, Some(2 * D * D)),
+            (near, None),
+            (near, Some(1)),
+            (near, Some(2 * D * D)),
+        ];
+        let mut runs = 0u32;
+        for (name, make) in zoo_families() {
+            for (placement, ceiling) in settings {
+                let make = Arc::clone(&make);
+                let mut b = Scenario::builder()
+                    .agents(3)
+                    .target(placement)
+                    .move_budget(BUDGET)
+                    .strategy(move |_| make());
+                if let Some(c) = ceiling {
+                    b = b.guess_move_ceiling(c);
+                }
+                let s = b.build();
+                for seed in 0..2u64 {
+                    let target = place_target(&s, seed);
+                    for agent in 0..s.n_agents() {
+                        for cap in [1, BUDGET] {
+                            for track in [false, true] {
+                                // A hint pre-published by chunk 0 clamps
+                                // chunk 1's agent at its first poll.
+                                for published in [None, Some(40u64)] {
+                                    let hint = published.map(|m| {
+                                        let h = CapHint::new(2);
+                                        h.publish(0, m);
+                                        h
+                                    });
+                                    let poll = hint.as_ref().map(|h| (h, 1));
+                                    let (mut a1, mut a2) =
+                                        (ChiArena::default(), ChiArena::default());
+                                    let strided = run_agent(
+                                        &s,
+                                        seed,
+                                        target,
+                                        agent,
+                                        cap,
+                                        track.then_some(&mut a1),
+                                        poll,
+                                    );
+                                    let stepwise = run_agent_stepwise(
+                                        &s,
+                                        seed,
+                                        target,
+                                        agent,
+                                        cap,
+                                        track.then_some(&mut a2),
+                                        poll,
+                                    );
+                                    let case = format!(
+                                        "{name} {placement:?} ceiling {ceiling:?} seed {seed} \
+                                         agent {agent} cap {cap} track {track} hint {published:?}"
+                                    );
+                                    assert_eq!(strided, stepwise, "{case}");
+                                    assert_eq!(a1, a2, "{case}: curve arenas differ");
+                                    runs += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(runs > 1_000, "{runs} cases");
+    }
+
+    #[test]
+    fn hint_clamp_to_moves_run_does_no_more_work() {
+        // Chunk 0 already published a one-move find, so chunk 1's first
+        // poll clamps its agent to the zero moves it has run: the agent
+        // must stop there, not take one more step past its recorded cap.
+        let s = spiral_scenario(5, 2);
+        let target = place_target(&s, 1);
+        let hint = CapHint::new(2);
+        hint.publish(0, 1);
+        let run = run_agent(&s, 1, target, 1, s.move_budget(), None, Some((&hint, 1)));
+        assert_eq!((run.cap, run.moves, run.work), (0, None, 0));
+        assert_eq!((run.hint_polls, run.hint_clamps), (1, 1));
     }
 }

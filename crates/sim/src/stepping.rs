@@ -17,6 +17,37 @@
 //!    ceiling tripped, abort the excursion: sample the
 //!    selection-complexity footprint, tell the strategy, teleport home.
 //!
+//! # Strides
+//!
+//! [`AgentStepper::stride`] runs many transitions behind one dynamic call
+//! ([`SearchStrategy::advance`], whose default body calls the concrete
+//! strategy's `step` and `is_halted` statically) and then checks the
+//! target and the ceiling once. The capped trial engine drives agents
+//! this way; observers and the round model, which need every position,
+//! use [`AgentStepper::step`]. The two share one post-move routine
+//! (steps 4–5 above), so the transition semantics live in one place.
+//!
+//! A stride ends after the first of: the `k`-th move, an `Origin`
+//! action, the caller's step bound, or the strategy halting (polled
+//! before every step, exactly as a per-step loop polls it), where
+//!
+//! `k = min(caller's move bound, L1 distance to the target,
+//! ceiling − moves in the current guess)`.
+//!
+//! That is why checking only at the end is exact. An agent at L1
+//! distance `d` from the target cannot stand on it after fewer than `d`
+//! moves (steps that are not moves stay put, and an `Origin` ends the
+//! stride), so only the stride's last transition can find it. Likewise
+//! the per-guess counter can reach the ceiling only on that last move.
+//! Every transition before it would have passed both checks without
+//! effect.
+//!
+//! The RNG draw order is unchanged: `advance` makes exactly the `step`
+//! calls a per-step loop would make, in the same order, and stops before
+//! any step the per-step loop would not have taken. So a strided run
+//! consumes the same random words and leaves the strategy in the same
+//! state as the per-step run it replaces.
+//!
 //! Because the stepper is a pure function of its constructor inputs (the
 //! strategy instance and the derived RNG stream), every caller that
 //! builds identical steppers sees identical trajectories — this is what
@@ -135,28 +166,59 @@ impl AgentStepper {
         }
         self.pos = apply_action(self.pos, action);
         let pos_after_move = self.pos;
+        let (found, aborted) = self.settle();
+        StepOutcome { action, moved, pos_after_move, found, aborted }
+    }
+
+    /// Advance one stride (see the module docs): the transitions of at
+    /// most `max_moves` moves and `max_steps` steps, further cut short so
+    /// that only the stride's last move can reach the target or trip the
+    /// guess ceiling. Returns whether the agent ended on the target.
+    ///
+    /// Both bounds must be at least 1, and the agent must not be standing
+    /// on the target.
+    pub fn stride(&mut self, max_moves: u64, max_steps: u64) -> bool {
+        let mut k = max_moves;
+        if let Some(target) = self.target {
+            k = k.min(self.pos.dist_l1(&target));
+        }
+        if let Some(ceiling) = self.ceiling {
+            k = k.min(ceiling - self.guess_moves);
+        }
+        let s = self.strategy.advance(&mut self.rng, k, max_steps);
+        self.steps += s.steps;
+        self.moves += s.moves;
+        self.guess_moves = if s.ended_on_origin { 0 } else { self.guess_moves + s.moves };
+        self.pos = s.apply(self.pos);
+        self.settle().0
+    }
+
+    /// The post-move half of every transition, shared by
+    /// [`AgentStepper::step`] and [`AgentStepper::stride`]: the target
+    /// check, `found_at`, then the ceiling abort. Returns
+    /// `(found, aborted)`.
+    fn settle(&mut self) -> (bool, bool) {
         let found = self.target == Some(self.pos);
         if found && self.found_at.is_none() {
             self.found_at = Some((self.steps, self.moves));
         }
-        let mut aborted = false;
-        // A step that lands on the target ends the guess by succeeding;
-        // the ceiling only aborts unfinished excursions (this mirrors the
-        // serial engine, which stops before its ceiling check on a find).
-        if !found {
-            if let Some(ceiling) = self.ceiling {
-                if self.guess_moves >= ceiling {
-                    // Sample chi first — the default abort_guess is a full
-                    // reset, which may shrink a phase-based footprint.
-                    self.chi_aborts = self.chi_aborts.max(self.strategy.selection_complexity());
-                    self.strategy.abort_guess();
-                    self.pos = Point::ORIGIN;
-                    self.guess_moves = 0;
-                    aborted = true;
-                }
-            }
+        // A transition that lands on the target ends the guess by
+        // succeeding; the ceiling only aborts unfinished excursions.
+        if found {
+            return (true, false);
         }
-        StepOutcome { action, moved, pos_after_move, found, aborted }
+        match self.ceiling {
+            Some(ceiling) if self.guess_moves >= ceiling => {
+                // Sample chi first — the default abort_guess is a full
+                // reset, which may shrink a phase-based footprint.
+                self.chi_aborts = self.chi_aborts.max(self.strategy.selection_complexity());
+                self.strategy.abort_guess();
+                self.pos = Point::ORIGIN;
+                self.guess_moves = 0;
+                (false, true)
+            }
+            _ => (false, false),
+        }
     }
 
     /// Current position (after any abort teleport).
