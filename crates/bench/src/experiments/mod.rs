@@ -450,3 +450,56 @@ pub fn all() -> Vec<Box<dyn Experiment>> {
 pub fn find(key: &str) -> Option<Box<dyn Experiment>> {
     all().into_iter().find(|e| e.meta().key == key)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Identity strings with quotes, a backslash, control characters and
+    /// a non-BMP character, so every escape path of the writer runs.
+    const META: ExperimentMeta = ExperimentMeta {
+        key: "pin\"key",
+        id: "P\t\"title\" \u{1}\u{1f41c}",
+        claim: "claim\\ with\nnewline\r\u{7f}",
+    };
+
+    /// A report holding every edge the writer handles: non-finite and
+    /// negative-zero floats, integers on both sides of 2^53, a seed of
+    /// `u64::MAX`, awkward strings in params, columns and cells.
+    fn edge_report(threads: Option<usize>) -> Report {
+        let cfg = RunConfig::smoke().with_seed(u64::MAX).with_threads(threads);
+        let mut r = Report::new(&META, &cfg, vec!["cell \"c\"", "x", "n", "ok"]);
+        r.param("q\"uote\u{8}", "v\u{1f41c}\n\u{1f}")
+            .param("edge", 1u64 << 53)
+            .param("past", (1u64 << 53) + 1)
+            .param("nan", f64::NAN);
+        r.row(vec!["nan".into(), f64::NAN.into(), (1u64 << 53).into(), true.into()]);
+        r.row(vec!["inf".into(), f64::INFINITY.into(), ((1u64 << 53) + 1).into(), false.into()]);
+        r.row(vec!["-inf\u{0}".into(), f64::NEG_INFINITY.into(), 0u64.into(), true.into()]);
+        r.row(vec!["-0 \u{1f41c}".into(), (-0.0).into(), u64::MAX.into(), true.into()]);
+        r
+    }
+
+    /// The full bytes of `Report::to_json` are pinned: field order,
+    /// escapes, the NaN/Inf sentinels, `-0`, quoted integers above 2^53,
+    /// `threads` as `null` or a number, and `wall_ms` before and after
+    /// the runner stamps it.
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        const HEAD: &str = r#"{"schema":"ants-report/v1","id":"pin\"key","title":"P\t\"title\" \u0001🐜","claim":"claim\\ with\nnewline\r"#;
+        const TAIL: &str = r#""params":{"q\"uote\u0008":"v🐜\n\u001f","edge":9007199254740992,"past":"9007199254740993","nan":"NaN"},"columns":["cell \"c\"","x","n","ok"],"rows":[["nan","NaN",9007199254740992,true],["inf","Inf","9007199254740993",false],["-inf\u0000","-Inf",0,true],["-0 🐜",-0,"18446744073709551615",true]]}"#;
+        let bytes = |threads: &str, wall: &str| {
+            format!(
+                "{HEAD}\u{7f}\",\"effort\":\"smoke\",\"seed\":\"18446744073709551615\",\
+                 \"threads\":{threads},\"wall_ms\":{wall},{TAIL}"
+            )
+        };
+        let mut auto = edge_report(None);
+        assert_eq!(auto.to_json(), bytes("null", "\"NaN\""));
+        auto.set_wall_ms(12.5);
+        assert_eq!(auto.to_json(), bytes("null", "12.5"));
+        let mut pinned = edge_report(Some(3));
+        pinned.set_wall_ms(0.0);
+        assert_eq!(pinned.to_json(), bytes("3", "0"));
+    }
+}

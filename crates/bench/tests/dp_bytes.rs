@@ -4,6 +4,8 @@
 //! full-precision records (`Debug` prints the shortest round-trip form
 //! of every f64): any change to the forward DP's summation order,
 //! pruning, folding or absorption shows up there as a changed digest.
+//! A third digest covers the whole JSON report (wall clock stamped to
+//! zero), so the report writer's bytes are pinned on real records too.
 //!
 //! The two specs:
 //!
@@ -103,12 +105,13 @@ fn fnv(text: &str) -> String {
 }
 
 /// The Fnv128 digests of `spec`'s exact-backend report under `mode`:
-/// its CSV and its full-precision records.
-fn dp_hashes(spec: &Path, mode: Option<DpMode>) -> (String, String) {
+/// its CSV, its full-precision records, and its JSON document.
+fn dp_hashes(spec: &Path, mode: Option<DpMode>) -> (String, String, String) {
     let exp = WorkloadExperiment::from_file(spec).expect("spec loads");
     let cfg = RunConfig::new(Effort::Standard).with_backend(Some(Backend::Dp)).with_dp_mode(mode);
-    let report = exp.try_run(&cfg).expect("exact run succeeds");
-    (fnv(&report.to_csv()), fnv(&format!("{:?}", report.records())))
+    let mut report = exp.try_run(&cfg).expect("exact run succeeds");
+    report.set_wall_ms(0.0);
+    (fnv(&report.to_csv()), fnv(&format!("{:?}", report.records())), fnv(&report.to_json()))
 }
 
 #[test]
@@ -123,19 +126,48 @@ fn dp_csv_bytes_are_pinned() {
         ("dp_bytes/dense", dp_hashes(&own, Some(DpMode::Dense))),
         ("dp_bytes/sparse", dp_hashes(&own, Some(DpMode::Sparse))),
     ];
-    // (run, CSV digest, full-precision records digest). Folding moves
-    // last ulps only, so the rounded CSV is the same in every mode.
+    // (run, CSV digest, full-precision records digest, JSON digest).
+    // Folding moves last ulps only, so the rounded CSV is the same in
+    // every mode.
     const CROSSCHECK_CSV: &str = "124f330fcb0ed110aa34b1be5e8d2ea6";
     const OWN_CSV: &str = "5144ee3285ba50190ac0c7455697c5e4";
     let pinned = [
-        ("dp_crosscheck/auto", CROSSCHECK_CSV, "7cfb501c574f25038b64efe4d604666c"),
-        ("dp_crosscheck/sparse", CROSSCHECK_CSV, "b24e859fb7af1a84b312d20978e6921b"),
-        ("dp_bytes/spec", OWN_CSV, "957e488a230a2a195e3921c8a4bf5a69"),
-        ("dp_bytes/dense", OWN_CSV, "dc92841c1f94dee3d69367c2978fa50f"),
-        ("dp_bytes/sparse", OWN_CSV, "957e488a230a2a195e3921c8a4bf5a69"),
+        (
+            "dp_crosscheck/auto",
+            CROSSCHECK_CSV,
+            "7cfb501c574f25038b64efe4d604666c",
+            "15bf58b3882ccc9fa8d1d3e848e7c672",
+        ),
+        (
+            "dp_crosscheck/sparse",
+            CROSSCHECK_CSV,
+            "b24e859fb7af1a84b312d20978e6921b",
+            "9d2752473d45c6b306a59a83ce413a23",
+        ),
+        (
+            "dp_bytes/spec",
+            OWN_CSV,
+            "957e488a230a2a195e3921c8a4bf5a69",
+            "7731ddb2250c606d2f3520dcd7f8665f",
+        ),
+        (
+            "dp_bytes/dense",
+            OWN_CSV,
+            "dc92841c1f94dee3d69367c2978fa50f",
+            "62dea66d77595909a7999dd4b9d78e63",
+        ),
+        (
+            "dp_bytes/sparse",
+            OWN_CSV,
+            "957e488a230a2a195e3921c8a4bf5a69",
+            "7731ddb2250c606d2f3520dcd7f8665f",
+        ),
     ];
-    for ((name, (csv, records)), (_, want_csv, want_records)) in got.iter().zip(pinned) {
+    for ((name, (csv, records, json)), (_, want_csv, want_records, want_json)) in
+        got.iter().zip(pinned)
+    {
         assert_eq!(csv, want_csv, "{name}: CSV bytes changed (all digests: {got:?})");
         assert_eq!(records, want_records, "{name}: records changed (all digests: {got:?})");
+        assert_eq!(json, want_json, "{name}: JSON bytes changed (all digests: {got:?})");
     }
 }
