@@ -11,6 +11,10 @@
 //! stay `f64`/`u64` until render time) and route scenario grids through
 //! [`ants_sim::run_sweep_with`], so one shared thread pool drains the whole
 //! grid; see [`crate::runner`] for wall-clock stamping and JSON output.
+//!
+//! This module also owns the `ants-report/v1` format in both directions:
+//! [`Report::to_json`] writes it and [`ReportDoc`] reads it back for
+//! `ants validate`, `ants trend` and the regression gate.
 
 pub mod e10_randomwalk;
 pub mod e11_b_vs_ell;
@@ -28,10 +32,12 @@ pub mod e7_uniform;
 pub mod e8_lowerbound;
 pub mod e9_tradeoff;
 
-use ants_sim::json;
+use ants_sim::json::Json;
 use ants_sim::report::{Records, Table, Value};
 use ants_sim::{Granularity, MetricSet, SweepOptions};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::path::Path;
 
 /// How hard an experiment should try.
 ///
@@ -379,26 +385,23 @@ impl Report {
     ///
     /// Field order is fixed and asserted by tests: `schema`, `id`,
     /// `title`, `claim`, `effort`, `seed`, `threads`, `wall_ms`,
-    /// `params`, `columns`, `rows`.
+    /// `params`, `columns`, `rows`. [`ReportDoc`] reads it back.
     pub fn to_json(&self) -> String {
-        let params: Vec<String> = self
-            .params
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json::escape(k), v.to_json()))
-            .collect();
-        format!(
-            "{{\"schema\":\"ants-report/v1\",\"id\":\"{}\",\"title\":\"{}\",\"claim\":\"{}\",\
-             \"effort\":\"{}\",\"seed\":{},\"threads\":{},\"wall_ms\":{},\"params\":{{{}}},{}}}",
-            json::escape(self.key),
-            json::escape(self.id),
-            json::escape(self.claim),
-            self.effort.as_str(),
-            Value::Int(self.seed).to_json(),
-            self.threads.map_or("null".to_string(), |t| t.to_string()),
-            json::number(self.wall_ms),
-            params.join(","),
-            self.records.json_fields(),
-        )
+        let params = self.params.iter().map(|(k, v)| (k.as_str(), Json::from(v)));
+        Json::obj([
+            ("schema", SCHEMA.into()),
+            ("id", self.key.into()),
+            ("title", self.id.into()),
+            ("claim", self.claim.into()),
+            ("effort", self.effort.as_str().into()),
+            ("seed", Json::from(&Value::Int(self.seed))),
+            ("threads", self.threads.map_or(Json::Null, |t| Json::Int(t as u64))),
+            ("wall_ms", self.wall_ms.into()),
+            ("params", Json::obj(params)),
+            ("columns", self.records.columns_json()),
+            ("rows", self.records.rows_json()),
+        ])
+        .serialize()
     }
 }
 
@@ -419,6 +422,217 @@ impl fmt::Display for Report {
         }
         writeln!(f)?;
         write!(f, "{}", self.to_table())
+    }
+}
+
+/// The schema tag of every report document: [`Report::to_json`] writes
+/// it and [`ReportDoc`] requires it.
+const SCHEMA: &str = "ants-report/v1";
+
+/// A row's identity in a report document: its first cell's text plus
+/// its ordinal among the rows with that text. First-column labels repeat
+/// in real reports (E1 lists each `D` once per strategy), so the text
+/// alone does not name a row.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RowKey {
+    /// The first cell as [`ReportDoc::cell_text`] renders it.
+    pub label: String,
+    /// 0 for the first row with this label, 1 for the second, and so on.
+    pub ordinal: usize,
+}
+
+impl fmt::Display for RowKey {
+    /// The label, with `#2`, `#3`, … appended to its repeats.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.ordinal {
+            0 => f.write_str(&self.label),
+            n => write!(f, "{}#{}", self.label, n + 1),
+        }
+    }
+}
+
+/// An `ants-report/v1` document read back: the one reader behind
+/// `ants validate`, `ants trend` and the regression gate.
+///
+/// Construction checks the schema tag, that `columns` is an array of
+/// strings, and that every row is an array exactly as wide as the
+/// columns, so every later lookup is infallible. Rows are addressed by
+/// [`RowKey`] and cells compare by [`ReportDoc::cells_equal`]. Fields
+/// the reader has no accessor for (a `telemetry` block, say) are kept
+/// and never compared.
+#[derive(Debug, Clone)]
+pub struct ReportDoc {
+    /// Every top-level field except `columns` and `rows`.
+    fields: Json,
+    columns: Vec<String>,
+    rows: Vec<(RowKey, Vec<Json>)>,
+}
+
+impl ReportDoc {
+    /// Parse and check a report document.
+    ///
+    /// # Errors
+    ///
+    /// Invalid JSON, or any of the checks [`ReportDoc::from_json`] makes.
+    pub fn parse(text: &str) -> Result<ReportDoc, String> {
+        ReportDoc::from_json(Json::parse(text).map_err(|e| e.to_string())?)
+    }
+
+    /// Check a parsed document.
+    ///
+    /// # Errors
+    ///
+    /// A schema tag other than `ants-report/v1`, missing or non-string
+    /// columns, a missing rows array, or a row that is not an array of
+    /// exactly one cell per column.
+    pub fn from_json(doc: Json) -> Result<ReportDoc, String> {
+        let schema = doc.get("schema").and_then(Json::as_str);
+        if schema != Some(SCHEMA) {
+            return Err(format!("unexpected schema {schema:?}"));
+        }
+        let Json::Obj(mut fields) = doc else { unreachable!("only objects have fields") };
+        let mut take = |key: &str| {
+            let at = fields.iter().position(|(k, _)| k == key)?;
+            Some(fields.remove(at).1)
+        };
+        let Some(Json::Arr(columns)) = take("columns") else {
+            return Err("report has no columns".to_string());
+        };
+        let columns = columns
+            .into_iter()
+            .map(|c| match c {
+                Json::Str(name) => Ok(name),
+                other => Err(format!("column name {} is not a string", other.serialize())),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let Some(Json::Arr(raw_rows)) = take("rows") else {
+            return Err("report has no rows array".to_string());
+        };
+        let mut rows: Vec<(RowKey, Vec<Json>)> = Vec::with_capacity(raw_rows.len());
+        let mut seen: HashMap<String, usize> = HashMap::new();
+        for (i, row) in raw_rows.into_iter().enumerate() {
+            let cells = match row {
+                Json::Arr(cells) if cells.len() == columns.len() => cells,
+                Json::Arr(cells) => {
+                    return Err(format!(
+                        "row {i} has {} cells for {} columns",
+                        cells.len(),
+                        columns.len()
+                    ))
+                }
+                _ => return Err(format!("row {i} is not an array")),
+            };
+            let label = cells.first().map(ReportDoc::cell_text).unwrap_or_default();
+            let next = seen.entry(label.clone()).or_default();
+            let ordinal = *next;
+            *next += 1;
+            rows.push((RowKey { label, ordinal }, cells));
+        }
+        Ok(ReportDoc { fields: Json::Obj(fields), columns, rows })
+    }
+
+    /// Read and check the report at `path`; errors name the file.
+    ///
+    /// # Errors
+    ///
+    /// An unreadable file, or what [`ReportDoc::parse`] rejects.
+    pub fn load(path: &Path) -> Result<ReportDoc, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("{}: unreadable: {e}", path.display()))?;
+        ReportDoc::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    }
+
+    /// The names of the `*.json` files in `dir`, sorted.
+    ///
+    /// # Errors
+    ///
+    /// `dir` cannot be read.
+    pub fn list(dir: &Path) -> Result<BTreeSet<String>, String> {
+        let entries =
+            std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+        Ok(entries
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .filter_map(|p| p.file_name().map(|n| n.to_string_lossy().into_owned()))
+            .collect())
+    }
+
+    /// The report's registry key or workload name (`id`), if present.
+    pub fn id(&self) -> Option<&str> {
+        self.fields.get("id").and_then(Json::as_str)
+    }
+
+    /// The run parameters object, if present.
+    pub fn params(&self) -> Option<&Json> {
+        self.fields.get("params")
+    }
+
+    /// The stamped wall-clock milliseconds: `None` when the field is
+    /// absent or still the unstamped NaN.
+    pub fn wall_ms(&self) -> Option<f64> {
+        self.fields.get("wall_ms").and_then(Json::as_number).filter(|w| !w.is_nan())
+    }
+
+    /// The column names.
+    pub fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    /// The rows in document order, each with its key; every row has
+    /// exactly one cell per column.
+    pub fn rows(&self) -> &[(RowKey, Vec<Json>)] {
+        &self.rows
+    }
+
+    /// The row with `key`, if the document has one.
+    pub fn row(&self, key: &RowKey) -> Option<&[Json]> {
+        self.rows.iter().find(|(k, _)| k == key).map(|(_, cells)| cells.as_slice())
+    }
+
+    /// The cell of row `key` in the column named `column`, if both exist.
+    pub fn cell(&self, key: &RowKey, column: &str) -> Option<&Json> {
+        let col = self.columns.iter().position(|c| c == column)?;
+        self.row(key).map(|cells| &cells[col])
+    }
+
+    /// A cell as dashboard text: strings bare, everything else as its
+    /// JSON token.
+    pub fn cell_text(cell: &Json) -> String {
+        match cell {
+            Json::Str(s) => s.clone(),
+            other => other.serialize(),
+        }
+    }
+
+    /// Cell equality with total-order semantics on numbers: two cells are
+    /// equal iff they would render the same dashboard. The derived
+    /// `PartialEq` on [`Json`] compares raw `f64`s, which is wrong at both
+    /// edges: `NaN != NaN` reports an unchanged NaN cell as changed on
+    /// every diff forever, and `-0.0 == 0.0` hides a genuine sign flip.
+    /// Comparing numbers via [`f64::total_cmp`] fixes both. Numbers are
+    /// read through [`Json::as_number`], so the non-finite string
+    /// sentinels the writer emits (`"NaN"`, `"Inf"`, `"-Inf"`) compare as
+    /// the numbers they encode: a NaN cell parsed back from disk equals a
+    /// freshly computed one. Arrays and objects compare element-wise
+    /// under the same rule.
+    pub fn cells_equal(a: &Json, b: &Json) -> bool {
+        if let (Some(x), Some(y)) = (a.as_number(), b.as_number()) {
+            return x.total_cmp(&y).is_eq();
+        }
+        match (a, b) {
+            (Json::Arr(xs), Json::Arr(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| Self::cells_equal(x, y))
+            }
+            (Json::Obj(xs), Json::Obj(ys)) => {
+                xs.len() == ys.len()
+                    && xs
+                        .iter()
+                        .zip(ys)
+                        .all(|((ka, x), (kb, y))| ka == kb && Self::cells_equal(x, y))
+            }
+            _ => a == b,
+        }
     }
 }
 

@@ -10,7 +10,7 @@
 //! an absolute floor, so micro-benchmark noise cannot fail a build but
 //! a real slowdown does.
 
-use ants_sim::json::Json;
+use crate::experiments::ReportDoc;
 
 /// Gate policy: how much drift each kind of cell tolerates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,6 +47,24 @@ pub struct GateViolation {
     pub detail: String,
 }
 
+impl GateViolation {
+    fn new(
+        cell: impl ToString,
+        column: &str,
+        baseline: impl Into<String>,
+        current: impl Into<String>,
+        detail: impl Into<String>,
+    ) -> GateViolation {
+        GateViolation {
+            cell: cell.to_string(),
+            column: column.to_string(),
+            baseline: baseline.into(),
+            current: current.into(),
+            detail: detail.into(),
+        }
+    }
+}
+
 impl std::fmt::Display for GateViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -57,126 +75,70 @@ impl std::fmt::Display for GateViolation {
     }
 }
 
-fn render(cell: &Json) -> String {
-    match cell {
-        Json::Str(s) => s.clone(),
-        other => other.serialize(),
-    }
-}
-
-fn columns_of(doc: &Json) -> Result<Vec<String>, String> {
-    doc.get("columns")
-        .and_then(Json::as_array)
-        .map(|cols| cols.iter().filter_map(Json::as_str).map(str::to_owned).collect())
-        .ok_or_else(|| "report has no columns".to_string())
-}
-
-/// Rows keyed by their first column (the cell label).
-fn rows_of(doc: &Json) -> Vec<(String, &[Json])> {
-    doc.get("rows")
-        .and_then(Json::as_array)
-        .map(|rows| {
-            rows.iter()
-                .filter_map(Json::as_array)
-                .map(|cells| (cells.first().map(render).unwrap_or_default(), cells))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
 /// Compare `current` against `baseline` under `t`.
 ///
 /// Returns the violations (empty = gate passes). Rows are matched by
-/// their first-column label so an appended cell does not misalign every
-/// later row; a row present on only one side is itself a violation.
+/// [`RowKey`](crate::RowKey) (first-column label plus its ordinal among
+/// equal labels), so an appended cell does not misalign every later row
+/// and repeated labels pair up in order; a row present on only one side is itself a
+/// violation. Both documents passed [`ReportDoc`]'s schema and shape
+/// checks on the way in.
 ///
 /// # Errors
 ///
-/// Structural mismatches that make a comparison meaningless rather than
-/// failed: missing/diverged column sets. (A gate diffing apples to
-/// oranges must be a hard error, not a pass *or* a fail.)
+/// Diverged column sets, which make a comparison meaningless rather than
+/// failed. (A gate diffing apples to oranges must be a hard error, not a
+/// pass *or* a fail.)
 pub fn gate_report(
-    baseline: &Json,
-    current: &Json,
+    baseline: &ReportDoc,
+    current: &ReportDoc,
     t: &GateThresholds,
 ) -> Result<Vec<GateViolation>, String> {
-    let cols = columns_of(baseline)?;
-    if cols != columns_of(current)? {
+    let cols = baseline.columns();
+    if cols != current.columns() {
         return Err("column sets differ between baseline and current".to_string());
     }
     let mut violations = Vec::new();
-    let base_rows = rows_of(baseline);
-    let cur_rows = rows_of(current);
-    for (label, base_cells) in &base_rows {
-        let Some((_, cur_cells)) = cur_rows.iter().find(|(l, _)| l == label) else {
-            violations.push(GateViolation {
-                cell: label.clone(),
-                column: "-".to_string(),
-                baseline: "present".to_string(),
-                current: "missing".to_string(),
-                detail: "row disappeared from the current report".to_string(),
-            });
+    for (key, base_cells) in baseline.rows() {
+        let Some(cur_cells) = current.row(key) else {
+            violations.push(GateViolation::new(
+                key,
+                "-",
+                "present",
+                "missing",
+                "row disappeared from the current report",
+            ));
             continue;
         };
-        for (idx, col) in cols.iter().enumerate().skip(1) {
-            let (b, c) = (base_cells.get(idx), cur_cells.get(idx));
-            let (Some(b), Some(c)) = (b, c) else {
-                violations.push(GateViolation {
-                    cell: label.clone(),
-                    column: col.clone(),
-                    baseline: b.map(render).unwrap_or_else(|| "missing".into()),
-                    current: c.map(render).unwrap_or_else(|| "missing".into()),
-                    detail: "cell missing on one side".to_string(),
-                });
+        for ((col, b), c) in cols.iter().zip(base_cells).zip(cur_cells).skip(1) {
+            if ReportDoc::cells_equal(b, c) {
                 continue;
-            };
-            match (b.as_number(), c.as_number()) {
+            }
+            let detail = match (b.as_number(), c.as_number()) {
                 (Some(x), Some(y)) => {
-                    // Total-order equality first: NaN == NaN, and exact
-                    // matches (the common, deterministic case) never
-                    // touch the tolerance arithmetic.
-                    if x.total_cmp(&y) == std::cmp::Ordering::Equal {
-                        continue;
-                    }
                     // NaN drift (one side NaN, the other not) must fail,
                     // so the comparison is written to catch it explicitly.
                     let rel = (y - x).abs() / x.abs().max(1.0);
-                    if rel.is_nan() || rel > t.metric_rel_tol {
-                        violations.push(GateViolation {
-                            cell: label.clone(),
-                            column: col.clone(),
-                            baseline: render(b),
-                            current: render(c),
-                            detail: format!(
-                                "relative drift {rel:.4} exceeds tolerance {:.4}",
-                                t.metric_rel_tol
-                            ),
-                        });
+                    if !rel.is_nan() && rel <= t.metric_rel_tol {
+                        continue;
                     }
+                    format!("relative drift {rel:.4} exceeds tolerance {:.4}", t.metric_rel_tol)
                 }
-                _ => {
-                    if render(b) != render(c) {
-                        violations.push(GateViolation {
-                            cell: label.clone(),
-                            column: col.clone(),
-                            baseline: render(b),
-                            current: render(c),
-                            detail: "non-numeric cell changed".to_string(),
-                        });
-                    }
-                }
-            }
+                _ => "non-numeric cell changed".to_string(),
+            };
+            let (b, c) = (ReportDoc::cell_text(b), ReportDoc::cell_text(c));
+            violations.push(GateViolation::new(key, col, b, c, detail));
         }
     }
-    for (label, _) in &cur_rows {
-        if !base_rows.iter().any(|(l, _)| l == label) {
-            violations.push(GateViolation {
-                cell: label.clone(),
-                column: "-".to_string(),
-                baseline: "missing".to_string(),
-                current: "present".to_string(),
-                detail: "row appeared that the baseline does not have".to_string(),
-            });
+    for (key, _) in current.rows() {
+        if baseline.row(key).is_none() {
+            violations.push(GateViolation::new(
+                key,
+                "-",
+                "missing",
+                "present",
+                "row appeared that the baseline does not have",
+            ));
         }
     }
     // Wall clock: the only field allowed to drift between identical
@@ -185,38 +147,35 @@ pub fn gate_report(
     // NaN) gets its own violation naming the report — silently skipping
     // the check would wave through a runner that stopped timing, and
     // letting NaN fall into the ratio arithmetic fails confusingly.
-    let wall = |doc: &Json| doc.get("wall_ms").and_then(Json::as_number).filter(|w| !w.is_nan());
-    let report_id = |doc: &Json| {
-        doc.get("id").and_then(Json::as_str).unwrap_or("<unidentified report>").to_string()
-    };
     for (side, doc) in [("baseline", baseline), ("current", current)] {
-        if wall(doc).is_none() {
-            violations.push(GateViolation {
-                cell: "-".to_string(),
-                column: "wall_ms".to_string(),
-                baseline: if side == "baseline" { "missing".into() } else { "-".into() },
-                current: if side == "current" { "missing".into() } else { "-".into() },
-                detail: format!(
+        if doc.wall_ms().is_none() {
+            let missing = |s: &str| if s == side { "missing" } else { "-" };
+            violations.push(GateViolation::new(
+                "-",
+                "wall_ms",
+                missing("baseline"),
+                missing("current"),
+                format!(
                     "wall_ms missing from the {side} report '{}': never stamped (NaN or absent)",
-                    report_id(doc)
+                    doc.id().unwrap_or("<unidentified report>")
                 ),
-            });
+            ));
         }
     }
-    if let (Some(wb), Some(wc)) = (wall(baseline), wall(current)) {
+    if let (Some(wb), Some(wc)) = (baseline.wall_ms(), current.wall_ms()) {
         if wc - wb > t.wall_floor_ms && wb > 0.0 && wc / wb > t.wall_factor {
-            violations.push(GateViolation {
-                cell: "-".to_string(),
-                column: "wall_ms".to_string(),
-                baseline: format!("{wb:.1}"),
-                current: format!("{wc:.1}"),
-                detail: format!(
+            violations.push(GateViolation::new(
+                "-",
+                "wall_ms",
+                format!("{wb:.1}"),
+                format!("{wc:.1}"),
+                format!(
                     "wall clock grew {:.1}x (limit {:.1}x above a {:.0}ms floor)",
                     wc / wb,
                     t.wall_factor,
                     t.wall_floor_ms
                 ),
-            });
+            ));
         }
     }
     Ok(violations)
@@ -225,13 +184,16 @@ pub fn gate_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ants_sim::json::Json;
 
-    fn doc(rows: &[(&str, f64)], wall: f64) -> Json {
+    /// A report as it reads back from disk: non-finite cells arrive as
+    /// the writer's string sentinels.
+    fn doc(rows: &[(&str, f64)], wall: f64) -> ReportDoc {
         let rendered: Vec<String> = rows
             .iter()
-            .map(|(label, x)| format!("[\"{label}\",{}]", ants_sim::json::number(*x)))
+            .map(|(label, x)| format!("[\"{label}\",{}]", Json::Num(*x).serialize()))
             .collect();
-        Json::parse(&format!(
+        ReportDoc::parse(&format!(
             "{{\"schema\":\"ants-report/v1\",\"columns\":[\"cell\",\"metric\"],\
              \"rows\":[{}],\"wall_ms\":{wall}}}",
             rendered.join(",")
@@ -281,7 +243,7 @@ mod tests {
         // `Report::new` NaN; one with the field dropped entirely is the
         // same failure. Both must name the offending report.
         let stamped = doc(&[("c", 1.0)], 10.0);
-        let nan_wall = Json::parse(
+        let nan_wall = ReportDoc::parse(
             "{\"schema\":\"ants-report/v1\",\"id\":\"e9\",\"columns\":[\"cell\",\"metric\"],\
              \"rows\":[[\"c\",1]],\"wall_ms\":\"NaN\"}",
         )
@@ -290,8 +252,10 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].column, "wall_ms");
         assert!(v[0].detail.contains("wall_ms missing from the current report 'e9'"), "{}", v[0]);
-        let absent =
-            Json::parse("{\"columns\":[\"cell\",\"metric\"],\"rows\":[[\"c\",1]]}").unwrap();
+        let absent = ReportDoc::parse(
+            "{\"schema\":\"ants-report/v1\",\"columns\":[\"cell\",\"metric\"],\"rows\":[[\"c\",1]]}",
+        )
+        .unwrap();
         let v = gate_report(&absent, &stamped, &t).unwrap();
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("baseline report '<unidentified report>'"), "{}", v[0]);
@@ -308,8 +272,48 @@ mod tests {
             .unwrap();
         assert_eq!(v.len(), 1);
         assert_eq!((v[0].cell.as_str(), v[0].baseline.as_str()), ("b", "missing"));
-        let other =
-            Json::parse("{\"columns\":[\"cell\",\"other\"],\"rows\":[],\"wall_ms\":1}").unwrap();
+        let other = ReportDoc::parse(
+            "{\"schema\":\"ants-report/v1\",\"columns\":[\"cell\",\"other\"],\"rows\":[],\"wall_ms\":1}",
+        )
+        .unwrap();
         assert!(gate_report(&doc(&[], 1.0), &other, &t).is_err());
+    }
+
+    /// Repeated first-column labels (E1 lists each `D` once per
+    /// strategy) pair up in order: a report gated against itself passes,
+    /// and drift in the second row of a label names that row.
+    #[test]
+    fn repeated_labels_pair_up_in_order() {
+        let t = GateThresholds::default();
+        let e1 = doc(&[("16", 1.0), ("16", 2.0), ("32", 3.0), ("32", 4.0)], 10.0);
+        assert_eq!(gate_report(&e1, &e1, &t).unwrap(), vec![]);
+        let drifted = doc(&[("16", 1.0), ("16", 2.0), ("32", 3.0), ("32", 9.0)], 10.0);
+        let v = gate_report(&e1, &drifted, &t).unwrap();
+        assert_eq!(v.len(), 1);
+        assert_eq!((v[0].cell.as_str(), v[0].baseline.as_str()), ("32#2", "4"));
+    }
+
+    /// The gate reads documents only through `ReportDoc`, which refuses
+    /// an off-schema report, a missing column list and a ragged row.
+    #[test]
+    fn off_schema_and_ragged_reports_never_reach_the_gate() {
+        let gate = |base: &str, cur: &str| -> Result<Vec<GateViolation>, String> {
+            gate_report(
+                &ReportDoc::parse(base)?,
+                &ReportDoc::parse(cur)?,
+                &GateThresholds::default(),
+            )
+        };
+        let good =
+            r#"{"schema":"ants-report/v1","columns":["cell","m"],"rows":[["c",1]],"wall_ms":1}"#;
+        assert_eq!(gate(good, good), Ok(vec![]));
+        for bad in [
+            good.replace("ants-report/v1", "other/v9"),
+            good.replace(r#""columns":["cell","m"],"#, ""),
+            good.replace(r#"["c",1]"#, r#"["c",1,2]"#),
+        ] {
+            assert!(gate(good, &bad).is_err(), "accepted {bad}");
+            assert!(gate(&bad, good).is_err(), "accepted {bad}");
+        }
     }
 }

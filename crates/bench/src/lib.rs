@@ -25,7 +25,7 @@ pub mod runner;
 pub mod workload;
 
 pub use crosscheck::{crosscheck, CrosscheckReport};
-pub use experiments::{Effort, Experiment, Report, RunConfig};
+pub use experiments::{Effort, Experiment, Report, ReportDoc, RowKey, RunConfig};
 pub use gate::{gate_report, GateThresholds, GateViolation};
 pub use runner::Runner;
 pub use workload::WorkloadExperiment;

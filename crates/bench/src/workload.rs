@@ -762,8 +762,9 @@ population = [ { strategy = "randomwalk" } ]
                 // Cell-wise via the JSON tokens: derived PartialEq on
                 // Value says NaN != NaN, which is not the equality a
                 // byte-identity check wants.
-                let tokens =
-                    |cells: &[Value]| -> Vec<String> { cells.iter().map(Value::to_json).collect() };
+                let tokens = |cells: &[Value]| -> Vec<String> {
+                    cells.iter().map(|v| ants_sim::json::Json::from(v).serialize()).collect()
+                };
                 assert_eq!(tokens(row), tokens(&streamed.records().rows()[pos]));
             }
         }

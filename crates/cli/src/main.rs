@@ -68,8 +68,7 @@ mod trend;
 
 use ants_bench::experiments;
 use ants_bench::runner::{self, emit_for, parse_flags, write_telemetry, Runner};
-use ants_bench::WorkloadExperiment;
-use ants_sim::json::Json;
+use ants_bench::{ReportDoc, WorkloadExperiment};
 use ants_sim::report::Table;
 use std::path::Path;
 
@@ -347,10 +346,11 @@ fn run_all(args: &[String]) {
     write_telemetry(&flags);
 }
 
-/// Validate every `*.json` report in `dir`: parseable, the right schema,
-/// and at least one data row. Exit code 1 on any failure — including a
-/// missing or empty report directory, so a battery run that silently
-/// wrote nothing can never validate vacuously.
+/// Validate every `*.json` report in `dir` through [`ReportDoc`]:
+/// parseable, the right schema, a column list, rows exactly as wide as
+/// the columns, and at least one data row. Exit code 1 on any failure —
+/// including a missing or empty report directory, so a battery run that
+/// silently wrote nothing can never validate vacuously.
 fn validate(dir: &Path) {
     if !dir.is_dir() {
         eprintln!(
@@ -359,58 +359,33 @@ fn validate(dir: &Path) {
         );
         std::process::exit(1);
     }
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    };
-    let mut checked = 0usize;
-    let mut failures = 0usize;
-    let mut paths: Vec<_> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    paths.sort();
-    for path in paths {
-        checked += 1;
-        let name = path.display();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("FAIL {name}: unreadable: {e}");
-                failures += 1;
-                continue;
-            }
-        };
-        match Json::parse(&text) {
-            Ok(doc) => {
-                let schema = doc.get("schema").and_then(|v| v.as_str());
-                let rows = doc.get("rows").and_then(|v| v.as_array()).map_or(0, <[Json]>::len);
-                let id = doc.get("id").and_then(|v| v.as_str()).unwrap_or("");
-                if schema != Some("ants-report/v1") {
-                    eprintln!("FAIL {name}: unexpected schema {schema:?}");
-                    failures += 1;
-                } else if rows == 0 {
-                    eprintln!("FAIL {name}: no data rows");
-                    failures += 1;
-                } else {
-                    println!("ok   {name}: id {id}, {rows} rows");
-                }
-            }
-            Err(e) => {
-                eprintln!("FAIL {name}: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if checked == 0 {
+    let names = ReportDoc::list(dir).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    if names.is_empty() {
         eprintln!("error: no .json reports in {}", dir.display());
         std::process::exit(1);
     }
-    println!("validated {checked} report(s), {failures} failure(s)");
+    let mut failures = 0usize;
+    for name in &names {
+        let path = dir.join(name);
+        match ReportDoc::load(&path) {
+            Ok(doc) if doc.rows().is_empty() => {
+                eprintln!("FAIL {}: no data rows", path.display());
+                failures += 1;
+            }
+            Ok(doc) => {
+                let (id, rows) = (doc.id().unwrap_or(""), doc.rows().len());
+                println!("ok   {}: id {id}, {rows} rows", path.display());
+            }
+            Err(e) => {
+                eprintln!("FAIL {e}");
+                failures += 1;
+            }
+        }
+    }
+    println!("validated {} report(s), {failures} failure(s)", names.len());
     if failures > 0 {
         std::process::exit(1);
     }

@@ -15,133 +15,119 @@
 //!   column, oldest snapshot first, so a metric drifting across commits
 //!   is visible at a glance instead of pairwise diff by diff.
 //!
+//! Every report is read through [`ReportDoc`], the one `ants-report/v1`
+//! reader (shared with `ants validate` and the regression gate). It
+//! checks the schema tag, the column list and every row's width, and it
+//! owns the cell-equality rule: numbers compare by total order, so an
+//! unchanged NaN is equal to itself and `-0` differs from `0`.
+//!
+//! Row-key rule: a row is identified by its first cell's text plus its
+//! ordinal among the rows with that text ([`RowKey`], printed `16`,
+//! `16#2`, ...). Diffs and timelines both match rows by that key, so a
+//! row inserted at the top does not shift every later row, and repeated
+//! labels (E1 lists each `D` once per strategy) stay distinct rows.
+//!
 //! Diff contract:
 //!
 //! * reports are matched by file name; experiments present only on one
 //!   side are flagged (`missing in B` / `new in B`) but do not fail;
-//! * schema problems *do* fail: unparseable files, a schema tag other
-//!   than `ants-report/v1`, or column sets that disagree exit non-zero —
-//!   a dashboard diffing apples to oranges is worse than no dashboard;
-//! * row-by-row, cell-by-cell deltas: numeric cells print `a -> b (Δ)`,
-//!   text/bool cells print `a -> b`; `wall_ms` is reported separately
-//!   and never counts as a data change (it is the only field allowed to
-//!   drift between identical runs);
-//! * observability never counts either: the diff reads only `columns`
-//!   and `rows`, so a `telemetry` block (or any other side-channel key a
-//!   report may carry) can differ arbitrarily without flagging a change
-//!   — telemetry is strictly observational and must not look like
-//!   drift.
+//! * schema problems *do* fail: unreadable or unparseable files, a
+//!   schema tag other than `ants-report/v1`, a missing column list, a
+//!   row wider or narrower than its columns, or column sets that
+//!   disagree exit non-zero — a dashboard diffing apples to oranges is
+//!   worse than no dashboard;
+//! * `id` and `params` are compared under the cell rule; a difference
+//!   counts as a changed field;
+//! * rows are matched by key: numeric cells print `a -> b (Δ)`,
+//!   text/bool cells print `a -> b`, and a row present on one side only
+//!   counts as a changed row; a reordering of the rows both sides share
+//!   counts as a changed field;
+//! * `wall_ms` is reported separately and never counts as a change (it
+//!   is the only field allowed to drift between identical runs);
+//! * observability never counts either: a `telemetry` block (or any
+//!   other side-channel key a report may carry) can differ arbitrarily
+//!   without flagging a change — telemetry is strictly observational
+//!   and must not look like drift.
 
-use ants_sim::json::Json;
-use std::collections::BTreeSet;
+use ants_bench::{ReportDoc, RowKey};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Outcome of a trend run, for the process exit code.
 pub struct TrendOutcome {
     /// Schema mismatches or unreadable/unparseable reports.
     pub failures: usize,
-    /// Reports whose data rows differ.
+    /// Reports whose rows, `id` or `params` differ.
     pub changed: usize,
 }
 
-fn json_names(dir: &Path) -> Result<BTreeSet<String>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    Ok(entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .filter_map(|p| p.file_name().map(|n| n.to_string_lossy().into_owned()))
-        .collect())
-}
-
-fn load_report(path: &Path) -> Result<Json, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("unreadable {}: {e}", path.display()))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let schema = doc.get("schema").and_then(Json::as_str);
-    if schema != Some("ants-report/v1") {
-        return Err(format!("{}: unexpected schema {schema:?}", path.display()));
+/// Diff one matched pair of reports; returns `Ok((changed rows,
+/// changed fields))` or a schema-mismatch description.
+fn diff_pair(name: &str, a: &ReportDoc, b: &ReportDoc) -> Result<(usize, usize), String> {
+    let columns = a.columns();
+    if columns != b.columns() {
+        return Err(format!(
+            "column sets differ ({} vs {} columns)",
+            columns.len(),
+            b.columns().len()
+        ));
     }
-    Ok(doc)
-}
-
-fn cell_text(cell: &Json) -> String {
-    match cell {
-        Json::Str(s) => s.clone(),
-        Json::Int(n) => n.to_string(),
-        Json::Num(x) => format!("{x}"),
-        Json::Bool(b) => b.to_string(),
-        Json::Null => "null".to_string(),
-        other => format!("{other:?}"),
+    let mut fields = 0usize;
+    if a.id() != b.id() {
+        fields += 1;
+        println!("  {name} id: {} -> {}", a.id().unwrap_or("-"), b.id().unwrap_or("-"));
     }
-}
-
-/// Cell equality with total-order semantics on numbers: two cells are
-/// equal iff they would render the same dashboard. The derived
-/// `PartialEq` on [`Json`] compares raw `f64`s, which is wrong at both
-/// edges: `NaN != NaN` reports an unchanged NaN cell as changed on every
-/// diff forever, and `-0.0 == 0.0` hides a genuine sign flip. Comparing
-/// numbers via [`f64::total_cmp`] fixes both (and distinguishes NaN
-/// payloads only if their bit patterns actually differ, which round-trips
-/// through our writer as the same token anyway). Numbers are read
-/// through [`Json::as_number`], so the non-finite string sentinels the
-/// report writer emits (`"NaN"`, `"Inf"`, `"-Inf"`) compare as the
-/// numbers they encode — a NaN cell parsed back from disk is equal to a
-/// freshly computed one.
-fn cells_equal(a: &Json, b: &Json) -> bool {
-    if let (Some(x), Some(y)) = (a.as_number(), b.as_number()) {
-        return x.total_cmp(&y) == std::cmp::Ordering::Equal;
+    let same_params = match (a.params(), b.params()) {
+        (Some(x), Some(y)) => ReportDoc::cells_equal(x, y),
+        (x, y) => x.is_none() && y.is_none(),
+    };
+    if !same_params {
+        fields += 1;
+        let text = |p: Option<&_>| p.map_or_else(|| "-".to_string(), ReportDoc::cell_text);
+        println!("  {name} params: {} -> {}", text(a.params()), text(b.params()));
     }
-    match (a, b) {
-        (Json::Arr(xs), Json::Arr(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| cells_equal(x, y))
-        }
-        (Json::Obj(xs), Json::Obj(ys)) => {
-            xs.len() == ys.len()
-                && xs.iter().zip(ys).all(|((ka, x), (kb, y))| ka == kb && cells_equal(x, y))
-        }
-        _ => a == b,
-    }
-}
-
-/// Diff one matched pair of reports; returns `Ok(changed_cells)` or a
-/// schema-mismatch description.
-fn diff_pair(name: &str, a: &Json, b: &Json) -> Result<usize, String> {
-    let cols_a = a.get("columns").and_then(Json::as_array).ok_or("missing columns in A")?;
-    let cols_b = b.get("columns").and_then(Json::as_array).ok_or("missing columns in B")?;
-    if cols_a != cols_b {
-        return Err(format!("column sets differ ({} vs {} columns)", cols_a.len(), cols_b.len()));
-    }
-    let empty: &[Json] = &[];
-    let rows_a = a.get("rows").and_then(Json::as_array).unwrap_or(empty);
-    let rows_b = b.get("rows").and_then(Json::as_array).unwrap_or(empty);
-    let mut changed = 0usize;
-    if rows_a.len() != rows_b.len() {
-        println!("  {name}: row count {} -> {}", rows_a.len(), rows_b.len());
-        changed += rows_a.len().abs_diff(rows_b.len());
-    }
-    for (i, (ra, rb)) in rows_a.iter().zip(rows_b.iter()).enumerate() {
-        let (ca, cb) = (ra.as_array().unwrap_or(empty), rb.as_array().unwrap_or(empty));
-        for (col, (va, vb)) in ca.iter().zip(cb.iter()).enumerate() {
-            if cells_equal(va, vb) {
+    let mut rows = 0usize;
+    for (key, cells_a) in a.rows() {
+        let Some(cells_b) = b.row(key) else {
+            rows += 1;
+            println!("  {name} row {key}: missing in B");
+            continue;
+        };
+        let mut changed = false;
+        for ((col, va), vb) in columns.iter().zip(cells_a).zip(cells_b) {
+            if ReportDoc::cells_equal(va, vb) {
                 continue;
             }
-            changed += 1;
-            let col_name = cols_a.get(col).and_then(Json::as_str).unwrap_or("?");
+            changed = true;
             match (va.as_number(), vb.as_number()) {
                 (Some(x), Some(y)) => {
-                    println!("  {name} row {i} [{col_name}]: {x} -> {y} (Δ {:+})", y - x)
+                    println!("  {name} row {key} [{col}]: {x} -> {y} (Δ {:+})", y - x)
                 }
                 _ => println!(
-                    "  {name} row {i} [{col_name}]: {} -> {}",
-                    cell_text(va),
-                    cell_text(vb)
+                    "  {name} row {key} [{col}]: {} -> {}",
+                    ReportDoc::cell_text(va),
+                    ReportDoc::cell_text(vb)
                 ),
             }
         }
+        rows += usize::from(changed);
     }
-    Ok(changed)
+    for (key, _) in b.rows() {
+        if a.row(key).is_none() {
+            rows += 1;
+            println!("  {name} row {key}: new in B");
+        }
+    }
+    // Keyed matching ignores position, so the order of the rows both
+    // sides share is compared on its own.
+    let shared = |x: &ReportDoc, y: &ReportDoc| -> Vec<RowKey> {
+        x.rows().iter().map(|(k, _)| k).filter(|k| y.row(k).is_some()).cloned().collect()
+    };
+    if shared(a, b) != shared(b, a) {
+        fields += 1;
+        println!("  {name}: row order changed");
+    }
+    Ok((rows, fields))
 }
 
 /// Resolve the commit id for a snapshot: explicit flag, then the
@@ -194,7 +180,7 @@ pub fn record(
     reports_dir: &Path,
     commit: Option<&str>,
 ) -> Result<PathBuf, String> {
-    let names = json_names(reports_dir)?;
+    let names = ReportDoc::list(reports_dir)?;
     if names.is_empty() {
         return Err(format!(
             "no .json reports in {} (run `ants all --smoke --json` first)",
@@ -219,30 +205,14 @@ pub fn record(
     Ok(dest)
 }
 
-/// Look up one cell of a report document by (key-column value, column
-/// name): tolerant of column sets that changed between snapshots — a
-/// column a snapshot does not have simply yields `None`.
-fn lookup_cell<'a>(doc: &'a Json, label: &str, column: &str) -> Option<&'a Json> {
-    let cols = doc.get("columns")?.as_array()?;
-    let idx = cols.iter().position(|c| c.as_str() == Some(column))?;
-    let rows = doc.get("rows")?.as_array()?;
-    rows.iter().filter_map(Json::as_array).find_map(|cells| {
-        if cell_text(cells.first()?) == label {
-            cells.get(idx)
-        } else {
-            None
-        }
-    })
-}
-
 /// `ants trend history <root>`: per-cell timelines across every
 /// snapshot `ants trend --record <root>` wrote.
 ///
 /// Snapshots are ordered oldest-first by directory modification time
 /// (name breaks ties), so successive `--record` runs read left to
-/// right. Cells are keyed by each report's first column; every other
-/// column prints one `v0 -> v1 -> ...` line, with `-` filling the
-/// snapshots where the report, cell, or column is absent.
+/// right. Rows are matched by [`RowKey`]; every column after the first
+/// prints one `v0 -> v1 -> ...` line per row, with `-` filling the
+/// snapshots where the report, row, or column is absent.
 ///
 /// Returns the number of unreadable/off-schema reports (non-zero is an
 /// exit-code failure for the caller); an empty or unreadable `root` is
@@ -270,12 +240,12 @@ pub fn history(root: &Path) -> Result<usize, String> {
     }
     snaps.sort();
     let mut failures = 0usize;
-    // (snapshot id, report name -> parsed document), oldest first.
-    let mut loaded: Vec<(String, std::collections::BTreeMap<String, Json>)> = Vec::new();
+    // (snapshot id, report name -> document), oldest first.
+    let mut loaded: Vec<(String, BTreeMap<String, ReportDoc>)> = Vec::new();
     for (_, id, dir) in &snaps {
-        let mut docs = std::collections::BTreeMap::new();
-        for name in json_names(dir)? {
-            match load_report(&dir.join(&name)) {
+        let mut docs = BTreeMap::new();
+        for name in ReportDoc::list(dir)? {
+            match ReportDoc::load(&dir.join(&name)) {
                 Ok(doc) => {
                     docs.insert(name, doc);
                 }
@@ -293,38 +263,26 @@ pub fn history(root: &Path) -> Result<usize, String> {
     let reports: BTreeSet<&String> = loaded.iter().flat_map(|(_, docs)| docs.keys()).collect();
     for name in reports {
         println!("{name}:");
+        let docs: Vec<Option<&ReportDoc>> =
+            loaded.iter().map(|(_, docs)| docs.get(name.as_str())).collect();
         // Schema of record: the newest snapshot that has this report.
-        let newest = loaded.iter().rev().find_map(|(_, docs)| docs.get(name.as_str()));
-        let columns: Vec<String> = newest
-            .and_then(|doc| doc.get("columns"))
-            .and_then(Json::as_array)
-            .map(|cols| cols.iter().filter_map(Json::as_str).map(str::to_owned).collect())
-            .unwrap_or_default();
-        // Cell labels in first-appearance order, oldest snapshot first,
-        // so rows removed since then still show their partial history.
-        let mut labels: Vec<String> = Vec::new();
-        for (_, docs) in &loaded {
-            let rows = docs
-                .get(name.as_str())
-                .and_then(|doc| doc.get("rows"))
-                .and_then(Json::as_array)
-                .unwrap_or(&[]);
-            for cells in rows.iter().filter_map(Json::as_array) {
-                let label = cells.first().map(cell_text).unwrap_or_default();
-                if !labels.contains(&label) {
-                    labels.push(label);
-                }
+        let columns = docs.iter().rev().flatten().next().map_or(&[][..], |doc| doc.columns());
+        // Row keys in first-appearance order, oldest snapshot first, so
+        // rows removed since then still show their partial history.
+        let mut keys: Vec<&RowKey> = Vec::new();
+        for (key, _) in docs.iter().flatten().flat_map(|doc| doc.rows()) {
+            if !keys.contains(&key) {
+                keys.push(key);
             }
         }
-        for label in &labels {
-            println!("  {} {label}:", columns.first().map_or("cell", String::as_str));
+        for key in keys {
+            println!("  {} {key}:", columns.first().map_or("cell", String::as_str));
             for column in columns.iter().skip(1) {
-                let timeline: Vec<String> = loaded
+                let timeline: Vec<String> = docs
                     .iter()
-                    .map(|(_, docs)| {
-                        docs.get(name.as_str())
-                            .and_then(|doc| lookup_cell(doc, label, column))
-                            .map_or_else(|| "-".to_string(), cell_text)
+                    .map(|doc| {
+                        doc.and_then(|doc| doc.cell(key, column))
+                            .map_or_else(|| "-".to_string(), ReportDoc::cell_text)
                     })
                     .collect();
                 println!("    {column}: {}", timeline.join(" -> "));
@@ -338,7 +296,7 @@ pub fn history(root: &Path) -> Result<usize, String> {
 /// caller turns into an exit code.
 pub fn trend(dir_a: &Path, dir_b: &Path) -> TrendOutcome {
     let mut out = TrendOutcome { failures: 0, changed: 0 };
-    let (names_a, names_b) = match (json_names(dir_a), json_names(dir_b)) {
+    let (names_a, names_b) = match (ReportDoc::list(dir_a), ReportDoc::list(dir_b)) {
         (Ok(a), Ok(b)) => (a, b),
         (a, b) => {
             for r in [a.err(), b.err()].into_iter().flatten() {
@@ -361,7 +319,7 @@ pub fn trend(dir_a: &Path, dir_b: &Path) -> TrendOutcome {
             (false, true) => println!("+ {name}: new in {}", dir_b.display()),
             _ => {
                 let (pa, pb) = (dir_a.join(name.as_str()), dir_b.join(name.as_str()));
-                let (a, b) = match (load_report(&pa), load_report(&pb)) {
+                let (a, b) = match (ReportDoc::load(&pa), ReportDoc::load(&pb)) {
                     (Ok(a), Ok(b)) => (a, b),
                     (a, b) => {
                         for e in [a.err(), b.err()].into_iter().flatten() {
@@ -376,18 +334,17 @@ pub fn trend(dir_a: &Path, dir_b: &Path) -> TrendOutcome {
                         eprintln!("FAIL {name}: schema mismatch: {e}");
                         out.failures += 1;
                     }
-                    Ok(0) => {
+                    Ok((0, 0)) => {
                         identical += 1;
-                        let wall = |doc: &Json| doc.get("wall_ms").and_then(Json::as_f64);
-                        if let (Some(wa), Some(wb)) = (wall(&a), wall(&b)) {
+                        if let (Some(wa), Some(wb)) = (a.wall_ms(), b.wall_ms()) {
                             println!("= {name}: rows identical (wall {wa:.1}ms -> {wb:.1}ms)");
                         } else {
                             println!("= {name}: rows identical");
                         }
                     }
-                    Ok(n) => {
+                    Ok((rows, fields)) => {
                         out.changed += 1;
-                        println!("~ {name}: {n} changed cell(s)");
+                        println!("~ {name}: {rows} changed row(s), {fields} changed field(s)");
                     }
                 }
             }
@@ -403,19 +360,23 @@ pub fn trend(dir_a: &Path, dir_b: &Path) -> TrendOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ants_sim::json::Json;
+
+    // The diff compares cells with `ReportDoc::cells_equal`; the
+    // `cells_equal_*` tests pin the edges the dashboard depends on.
 
     #[test]
     fn cells_equal_treats_nan_as_equal_to_itself() {
-        assert!(cells_equal(&Json::Num(f64::NAN), &Json::Num(f64::NAN)));
-        assert!(!cells_equal(&Json::Num(f64::NAN), &Json::Num(1.0)));
-        assert!(!cells_equal(&Json::Num(1.0), &Json::Num(f64::NAN)));
+        assert!(ReportDoc::cells_equal(&Json::Num(f64::NAN), &Json::Num(f64::NAN)));
+        assert!(!ReportDoc::cells_equal(&Json::Num(f64::NAN), &Json::Num(1.0)));
+        assert!(!ReportDoc::cells_equal(&Json::Num(1.0), &Json::Num(f64::NAN)));
     }
 
     #[test]
     fn cells_equal_distinguishes_signed_zero() {
-        assert!(!cells_equal(&Json::Num(0.0), &Json::Num(-0.0)));
-        assert!(cells_equal(&Json::Num(0.0), &Json::Num(0.0)));
-        assert!(cells_equal(&Json::Num(-0.0), &Json::Num(-0.0)));
+        assert!(!ReportDoc::cells_equal(&Json::Num(0.0), &Json::Num(-0.0)));
+        assert!(ReportDoc::cells_equal(&Json::Num(0.0), &Json::Num(0.0)));
+        assert!(ReportDoc::cells_equal(&Json::Num(-0.0), &Json::Num(-0.0)));
     }
 
     /// Snapshots parsed back from disk carry the non-finite string
@@ -424,56 +385,62 @@ mod tests {
     /// change-free.
     #[test]
     fn cells_equal_honours_non_finite_sentinels() {
-        use ants_sim::json::number;
+        let reparse = |x: f64| Json::parse(&Json::Num(x).serialize()).unwrap();
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0] {
-            let parsed = Json::parse(&number(x)).unwrap();
-            assert!(cells_equal(&parsed, &Json::Num(x)), "sentinel for {x:?}");
-            assert!(cells_equal(&parsed, &parsed));
+            let parsed = reparse(x);
+            assert!(ReportDoc::cells_equal(&parsed, &Json::Num(x)), "sentinel for {x:?}");
+            assert!(ReportDoc::cells_equal(&parsed, &parsed));
         }
-        assert!(!cells_equal(&Json::parse(&number(f64::NAN)).unwrap(), &Json::Num(1.0)));
-        assert!(!cells_equal(
-            &Json::parse(&number(f64::INFINITY)).unwrap(),
-            &Json::Num(f64::NEG_INFINITY)
-        ));
+        assert!(!ReportDoc::cells_equal(&reparse(f64::NAN), &Json::Num(1.0)));
+        assert!(!ReportDoc::cells_equal(&reparse(f64::INFINITY), &Json::Num(f64::NEG_INFINITY)));
         // -0.0 still differs from 0.0 after a round trip.
-        assert!(!cells_equal(&Json::parse(&number(-0.0)).unwrap(), &Json::Num(0.0)));
+        assert!(!ReportDoc::cells_equal(&reparse(-0.0), &Json::Num(0.0)));
         // An ordinary string that merely looks numeric is not a number.
-        assert!(!cells_equal(&Json::Str("nan".into()), &Json::Num(f64::NAN)));
+        assert!(!ReportDoc::cells_equal(&Json::Str("nan".into()), &Json::Num(f64::NAN)));
     }
 
     #[test]
     fn cells_equal_recurses_into_containers() {
         let a = Json::Arr(vec![Json::Num(f64::NAN), Json::Str("x".into())]);
         let b = Json::Arr(vec![Json::Num(f64::NAN), Json::Str("x".into())]);
-        assert!(cells_equal(&a, &b));
+        assert!(ReportDoc::cells_equal(&a, &b));
         let c = Json::Obj(vec![("k".into(), Json::Num(f64::NAN))]);
         let d = Json::Obj(vec![("k".into(), Json::Num(f64::NAN))]);
-        assert!(cells_equal(&c, &d));
+        assert!(ReportDoc::cells_equal(&c, &d));
         let e = Json::Obj(vec![("other".into(), Json::Num(f64::NAN))]);
-        assert!(!cells_equal(&c, &e));
-        assert!(!cells_equal(&a, &Json::Arr(vec![Json::Num(f64::NAN)])));
+        assert!(!ReportDoc::cells_equal(&c, &e));
+        assert!(!ReportDoc::cells_equal(&a, &Json::Arr(vec![Json::Num(f64::NAN)])));
     }
 
-    fn report(rows: Vec<Vec<Json>>) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str("ants-report/v1".into())),
-            ("columns".into(), Json::Arr(vec![Json::Str("value".into())])),
-            ("rows".into(), Json::Arr(rows.into_iter().map(Json::Arr).collect())),
-        ])
+    /// A two-column report (`cell`, `value`) with the given rows and
+    /// extra top-level fields.
+    fn report(rows: &[(&str, Json)], extra: Vec<(&str, Json)>) -> ReportDoc {
+        let rows = rows.iter().map(|(label, v)| Json::Arr(vec![Json::from(*label), v.clone()]));
+        let mut fields = vec![
+            ("schema", Json::from("ants-report/v1")),
+            ("columns", Json::Arr(vec![Json::from("cell"), Json::from("value")])),
+            ("rows", Json::Arr(rows.collect())),
+        ];
+        fields.extend(extra);
+        ReportDoc::from_json(Json::obj(fields)).unwrap()
+    }
+
+    fn values(xs: &[f64]) -> Vec<(&'static str, Json)> {
+        xs.iter().map(|&x| ("r", Json::Num(x))).collect()
     }
 
     #[test]
     fn diff_pair_ignores_identical_nan_cells() {
-        let a = report(vec![vec![Json::Num(f64::NAN)]]);
-        let b = report(vec![vec![Json::Num(f64::NAN)]]);
-        assert_eq!(diff_pair("t", &a, &b), Ok(0));
+        let a = report(&values(&[f64::NAN]), vec![]);
+        let b = report(&values(&[f64::NAN]), vec![]);
+        assert_eq!(diff_pair("t", &a, &b), Ok((0, 0)));
     }
 
     #[test]
     fn diff_pair_reports_zero_sign_flips_and_real_changes() {
-        let a = report(vec![vec![Json::Num(0.0)], vec![Json::Num(1.0)]]);
-        let b = report(vec![vec![Json::Num(-0.0)], vec![Json::Num(2.0)]]);
-        assert_eq!(diff_pair("t", &a, &b), Ok(2));
+        let a = report(&values(&[0.0, 1.0]), vec![]);
+        let b = report(&values(&[-0.0, 2.0]), vec![]);
+        assert_eq!(diff_pair("t", &a, &b), Ok((2, 0)));
     }
 
     /// Telemetry is observational: two reports whose data rows match
@@ -483,15 +450,51 @@ mod tests {
     #[test]
     fn diff_pair_ignores_telemetry_blocks() {
         let with_tele = |busy: f64| {
-            let Json::Obj(mut fields) = report(vec![vec![Json::Num(3.0)]]) else { unreachable!() };
-            fields.push((
-                "telemetry".into(),
-                Json::Obj(vec![("pool_busy_ns".into(), Json::Num(busy))]),
-            ));
-            Json::Obj(fields)
+            let tele = Json::obj([("pool_busy_ns", Json::Num(busy))]);
+            report(&values(&[3.0]), vec![("telemetry", tele), ("wall_ms", Json::Num(busy))])
         };
-        assert_eq!(diff_pair("t", &with_tele(1.0), &with_tele(9e9)), Ok(0));
+        assert_eq!(diff_pair("t", &with_tele(1.0), &with_tele(9e9)), Ok((0, 0)));
         // One-sided blocks are equally invisible.
-        assert_eq!(diff_pair("t", &with_tele(1.0), &report(vec![vec![Json::Num(3.0)]])), Ok(0));
+        assert_eq!(diff_pair("t", &with_tele(1.0), &report(&values(&[3.0]), vec![])), Ok((0, 0)));
+    }
+
+    /// `id` and `params` are part of what a run claims, so a change in
+    /// either is a change (the CI parity jobs rely on this).
+    #[test]
+    fn diff_pair_counts_id_and_params_changes() {
+        let with = |id: &str, trials: u64| {
+            let params = Json::obj([("trials", Json::Int(trials)), ("ratio", Json::Num(f64::NAN))]);
+            report(&values(&[1.0]), vec![("id", Json::from(id)), ("params", params)])
+        };
+        assert_eq!(diff_pair("t", &with("w", 8), &with("w", 8)), Ok((0, 0)));
+        assert_eq!(diff_pair("t", &with("w", 8), &with("w", 9)), Ok((0, 1)));
+        assert_eq!(diff_pair("t", &with("w", 8), &with("v", 8)), Ok((0, 1)));
+        assert_eq!(diff_pair("t", &with("w", 8), &report(&values(&[1.0]), vec![])), Ok((0, 2)));
+    }
+
+    /// Rows match by (label, ordinal): a new row at the top is one
+    /// change, not a shift of every later row, and repeated labels pair
+    /// up in order.
+    #[test]
+    fn diff_pair_matches_rows_by_key() {
+        let e1 = |extra: Option<(&'static str, Json)>| {
+            let rows = [("16", 1.0), ("16", 2.0), ("32", 3.0), ("32", 4.0)];
+            let rows = extra.into_iter().chain(rows.map(|(l, x)| (l, Json::Num(x))));
+            report(&rows.collect::<Vec<_>>(), vec![])
+        };
+        assert_eq!(diff_pair("t", &e1(None), &e1(None)), Ok((0, 0)));
+        assert_eq!(diff_pair("t", &e1(None), &e1(Some(("8", Json::Num(0.5))))), Ok((1, 0)));
+        // A new row that repeats a label shifts that label's ordinals
+        // only: both old "16" rows now pair with different values and
+        // "16#3" is new, while the "32" rows stay matched.
+        assert_eq!(diff_pair("t", &e1(None), &e1(Some(("16", Json::Num(9.0))))), Ok((3, 0)));
+    }
+
+    /// Keyed matching must not hide a reordering of the same rows.
+    #[test]
+    fn diff_pair_flags_reordered_rows() {
+        let a = report(&[("x", Json::Int(1)), ("y", Json::Int(2))], vec![]);
+        let b = report(&[("y", Json::Int(2)), ("x", Json::Int(1))], vec![]);
+        assert_eq!(diff_pair("t", &a, &b), Ok((0, 1)));
     }
 }

@@ -74,6 +74,26 @@ fn validate_checks_report_schema() {
     std::fs::remove_dir_all(&cwd).ok();
 }
 
+/// `ants validate` reads reports through the shared reader, so a report
+/// without a column list, or with a row wider than its columns, fails
+/// (the gate would refuse either later).
+#[test]
+fn validate_rejects_missing_columns_and_ragged_rows() {
+    let cwd = temp_dir("validate-shape");
+    let reports = cwd.join("reports");
+    std::fs::create_dir_all(&reports).unwrap();
+    for (bad, why) in [
+        (r#"{"schema":"ants-report/v1","id":"e0","rows":[[1]]}"#, "no columns"),
+        (r#"{"schema":"ants-report/v1","id":"e0","columns":["x"],"rows":[[1,2]]}"#, "2 cells"),
+    ] {
+        std::fs::write(reports.join("e0.json"), bad).unwrap();
+        let out = ants(&["validate", "reports"], &cwd);
+        assert_eq!(out.status.code(), Some(1), "accepted {bad}");
+        assert!(stderr(&out).contains(why), "stderr: {}", stderr(&out));
+    }
+    std::fs::remove_dir_all(&cwd).ok();
+}
+
 /// The scheduling flag surface is accepted on a real run and the output
 /// is identical across granularities (the CLI-level determinism
 /// contract).
@@ -427,6 +447,57 @@ fn trend_history_prints_timelines() {
         let out = ants(&["trend", "history", root], &cwd);
         assert_eq!(out.status.code(), Some(1), "root {root:?} stderr: {}", stderr(&out));
     }
+    std::fs::remove_dir_all(&cwd).ok();
+}
+
+/// An E1-shaped report repeats its first-column labels (16, 16, 32,
+/// 32): history prints one timeline per row, keyed `16`, `16#2`, ...
+#[test]
+fn trend_history_keeps_repeated_labels_apart() {
+    let cwd = temp_dir("trend-history-repeats");
+    let reports = cwd.join("target/reports");
+    std::fs::create_dir_all(&reports).unwrap();
+    std::fs::write(
+        reports.join("e1.json"),
+        r#"{"schema":"ants-report/v1","id":"e1","columns":["D","moves"],
+            "rows":[[16,1.5],[16,2.5],[32,3.5],[32,4.5]]}"#,
+    )
+    .unwrap();
+    let out = ants(&["trend", "--record", "history", "--commit", "aaa"], &cwd);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let out = ants(&["trend", "history", "history"], &cwd);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert_eq!(stdout.matches("    moves: ").count(), 4, "stdout: {stdout}");
+    for (key, moves) in [("16", "1.5"), ("16#2", "2.5"), ("32", "3.5"), ("32#2", "4.5")] {
+        let row = format!("  D {key}:\n    moves: {moves}\n");
+        assert!(stdout.contains(&row), "missing {row:?} in stdout: {stdout}");
+    }
+    std::fs::remove_dir_all(&cwd).ok();
+}
+
+/// `ants trend A B` matches rows by key: one new row at the top of B is
+/// one changed row, not a shift of every row below it.
+#[test]
+fn trend_matches_rows_by_key() {
+    let cwd = temp_dir("trend-keyed");
+    let (a, b) = (cwd.join("a"), cwd.join("b"));
+    std::fs::create_dir_all(&a).unwrap();
+    std::fs::create_dir_all(&b).unwrap();
+    let report = |rows: &str| {
+        format!(
+            r#"{{"schema":"ants-report/v1","id":"e1","columns":["D","moves"],"rows":[{rows}]}}"#
+        )
+    };
+    let rows = "[16,1.5],[16,2.5],[32,3.5],[32,4.5]";
+    std::fs::write(a.join("e1.json"), report(rows)).unwrap();
+    std::fs::write(b.join("e1.json"), report(&format!("[8,0.5],{rows}"))).unwrap();
+    let out = ants(&["trend", "a", "b"], &cwd);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(stdout.contains("e1.json: 1 changed row(s), 0 changed field(s)"), "stdout: {stdout}");
+    assert!(stdout.contains("e1.json row 8: new in B"), "stdout: {stdout}");
+    assert!(stdout.contains("0 identical, 1 changed, 0 failure(s)"), "stdout: {stdout}");
     std::fs::remove_dir_all(&cwd).ok();
 }
 

@@ -219,10 +219,12 @@ pub const MAX_SPARSE_SPAN: u64 = (1 << 20) - 1;
 
 /// Auto-mode break-even, in predicted dense table entries: at or below
 /// this the dense table's branch-free inner loop wins; above it the
-/// sparse frontier's occupancy savings dominate. Measured on the
-/// bundled crosscheck grid (`BENCH_dp.json` v2: the dense and sparse
-/// `backend/*` medians cross between the 10⁵-entry single-state cells
-/// and the 10⁶-entry multi-state cells).
+/// sparse frontier's occupancy savings dominate. The dense and sparse
+/// solve times cross between the 10⁵-entry single-state cells and the
+/// 10⁶-entry multi-state cells of the bundled crosscheck grid. perfbench's
+/// `dp-exact` workload runs cells on both sides: `decide.dp_dense` and
+/// `decide.dp_sparse` count the choices made here, and
+/// `dp.solve_ms.dense` / `dp.solve_ms.sparse` time them.
 pub const DENSE_BREAKEVEN_ENTRIES: usize = 1 << 18;
 
 #[cfg(test)]

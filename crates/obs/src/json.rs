@@ -1,5 +1,5 @@
-//! The workspace's one JSON value model: a strict parser, a compact
-//! writer, and the token helpers hand-written serializers share.
+//! The workspace's one JSON value model: a strict parser and a compact
+//! writer.
 //!
 //! The workspace builds fully offline, so nothing here leans on `serde`.
 //! It lives in `ants-obs`, the crate with no dependencies, so every
@@ -13,8 +13,11 @@
 //!   must not round above 2^53. Every other number is [`Json::Num`].
 //!   Object keys keep document order, so a round-trip test can assert a
 //!   serializer's field order, not just its field set.
-//! * [`escape`] and [`number`] — string and `f64` tokens for the report
-//!   writer, whose bytes are the golden fixed point and stay hand-built.
+//!
+//! Every JSON document the workspace writes is a [`Json`] tree printed by
+//! [`Json::serialize`]: reports, telemetry snapshots and serve events
+//! alike. Non-finite floats print as the string sentinels `"NaN"`,
+//! `"Inf"` and `"-Inf"`, which [`Json::as_number`] maps back.
 
 use std::fmt::{self, Write as _};
 
@@ -23,18 +26,7 @@ use std::fmt::{self, Write as _};
 /// exhausting a daemon thread's stack.
 const MAX_DEPTH: usize = 256;
 
-/// Escape a string for inclusion in a JSON document (without the
-/// surrounding quotes).
-///
-/// ```
-/// assert_eq!(ants_obs::json::escape("a\"b\nc"), "a\\\"b\\nc");
-/// ```
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_escaped(&mut out, s);
-    out
-}
-
+/// Append `s` escaped for a JSON string body (no surrounding quotes).
 fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
@@ -58,7 +50,7 @@ fn push_escaped(out: &mut String, s: &str) {
 /// that want the numeric value back go through [`Json::as_number`],
 /// which maps the sentinels to their `f64`s; a plain JSON reader still
 /// sees a well-formed document.
-pub fn number(x: f64) -> String {
+fn number(x: f64) -> String {
     if x.is_finite() {
         // Rust's `Display` for floats is the shortest representation that
         // round-trips, which is exactly what a machine-readable report
@@ -188,7 +180,7 @@ impl Json {
     }
 
     /// The value as a number, honouring the non-finite string sentinels
-    /// emitted by [`number`]: `"NaN"`, `"Inf"`, and `"-Inf"` map back to
+    /// [`Json::serialize`] emits: `"NaN"`, `"Inf"`, and `"-Inf"` map back to
     /// their `f64` values. Use this wherever a document cell is
     /// semantically numeric (report rows, snapshot diffs, the serve wire
     /// format); use [`Json::as_f64`] when only a literal JSON number
@@ -223,8 +215,8 @@ impl Json {
 
     /// Serialize the tree as a compact one-line JSON document.
     ///
-    /// Floats go through [`number`], so non-finite values round-trip via
-    /// the string sentinels; integers print exactly; object keys keep
+    /// Floats print in their shortest round-trip form, and non-finite
+    /// values round-trip via the string sentinels; integers print exactly; object keys keep
     /// their order. A `parse`/`serialize` round trip is therefore stable
     /// after the first pass.
     pub fn serialize(&self) -> String {
@@ -495,6 +487,13 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A string's escaped body (without the surrounding quotes).
+    fn escape(s: &str) -> String {
+        let mut out = String::new();
+        push_escaped(&mut out, s);
+        out
+    }
 
     #[test]
     fn parses_scalars() {

@@ -18,15 +18,16 @@
 //! Every line is built here, as a [`Json`] tree printed by
 //! [`Json::serialize`] (the workspace's one JSON module, `ants_obs::json`,
 //! re-exported as `ants_sim::json`); the server only writes the lines.
-//! Integers such as seeds and counters ride as exact `u64`s, floats go
-//! through [`ants_sim::json::number`], so NaN/±Inf survive the wire via
-//! the string sentinels. The `cell` and `report` events splice the report
-//! writer's tokens, so their bytes match the report document's.
+//! Integers such as seeds and counters ride as exact `u64`s, and
+//! non-finite floats ride as the `"NaN"`/`"Inf"`/`"-Inf"` string
+//! sentinels. A `cell` event's cells are the report's own cell values
+//! (`From<&Value> for Json`), so their bytes match the report document's;
+//! the `report` event splices the stored document verbatim.
 
 use ants_bench::{Effort, GateThresholds, GateViolation};
 use ants_dp::{Backend, DpMode};
 use ants_obs::Snapshot;
-use ants_sim::json::{escape, Json};
+use ants_sim::json::Json;
 use ants_sim::MetricSet;
 
 /// What a request asks the daemon to do.
@@ -224,16 +225,17 @@ pub fn status_event(key: &str, cached: bool) -> String {
         .serialize()
 }
 
-/// Build one `cell` event line from a streamed row. The cells array uses
-/// the report serializers, so values match the final report document
-/// token for token (NaN sentinels included).
+/// Build one `cell` event line from a streamed row. The cells convert
+/// exactly as the report document's do, so values match the final
+/// report token for token (NaN sentinels included).
 pub fn cell_event(index: usize, label: &str, row: &[ants_sim::report::Value]) -> String {
-    let cells: Vec<String> = row.iter().map(ants_sim::report::Value::to_json).collect();
-    format!(
-        "{{\"event\":\"cell\",\"index\":{index},\"label\":\"{}\",\"cells\":[{}]}}",
-        escape(label),
-        cells.join(",")
-    )
+    Json::obj([
+        ("event", "cell".into()),
+        ("index", (index as u64).into()),
+        ("label", label.into()),
+        ("cells", Json::Arr(row.iter().map(Json::from).collect())),
+    ])
+    .serialize()
 }
 
 /// Build the `ok` event line (the `shutdown` acknowledgement).
@@ -306,8 +308,12 @@ pub fn gate_event(compared: Option<(&str, Result<&[GateViolation], &str>)>) -> S
     Json::obj(fields).serialize()
 }
 
-/// Build the `report` event line, the last line of a response body. It
-/// splices the report writer's document verbatim.
+/// Build the `report` event line, the last line of a response body.
+///
+/// The one place outside the JSON module that assembles JSON by hand:
+/// it splices the report document's stored bytes verbatim, so a cache
+/// hit replays them without parsing the report again, and the line is
+/// byte-for-byte the document [`ants_bench::Report::to_json`] wrote.
 pub fn report_event(report_json: &str) -> String {
     format!("{{\"event\":\"report\",\"report\":{report_json}}}")
 }

@@ -19,9 +19,8 @@ use crate::protocol::{
     cell_event, error_event, gate_event, ok_event, report_event, stats_event, status_event, Op,
     Request, Stats,
 };
-use ants_bench::{gate_report, RunConfig, WorkloadExperiment};
+use ants_bench::{gate_report, ReportDoc, RunConfig, WorkloadExperiment};
 use ants_obs::{Counter, Gauge, LatencyKind, Telemetry};
-use ants_sim::json::Json;
 use ants_sim::{Granularity, SweepOptions};
 use ants_workload::{WorkloadPlan, WorkloadSpec};
 use std::io::{BufRead, BufReader, Write};
@@ -384,10 +383,9 @@ fn gate(out: &mut TcpStream, state: &State, req: &Request, outcome: &SubmitOutco
         None => gate_event(None),
         Some(baseline) => {
             let compared = baseline.report_text(&outcome.wkey).and_then(|base_text| {
-                let base =
-                    Json::parse(&base_text).map_err(|e| format!("baseline unparsable: {e}"))?;
-                let cur = Json::parse(&outcome.report_json)
-                    .map_err(|e| format!("current report unparsable: {e}"))?;
+                let base = ReportDoc::parse(&base_text).map_err(|e| format!("baseline: {e}"))?;
+                let cur = ReportDoc::parse(&outcome.report_json)
+                    .map_err(|e| format!("current report: {e}"))?;
                 gate_report(&base, &cur, &thresholds)
             });
             gate_event(Some((&baseline.key, compared.as_deref().map_err(String::as_str))))

@@ -100,7 +100,7 @@ fn tree(tape: &mut Tape, depth: u32) -> Json {
 /// (except `-0`) become exact integers. Everything else is unchanged.
 fn canonical(t: &Json) -> Json {
     match t {
-        Json::Num(x) if !x.is_finite() => Json::parse(&ants_sim::json::number(*x)).unwrap(),
+        Json::Num(x) if !x.is_finite() => Json::parse(&t.serialize()).unwrap(),
         Json::Num(x) if x.is_sign_positive() && x.fract() == 0.0 && *x < 2f64.powi(64) => {
             Json::Int(*x as u64)
         }

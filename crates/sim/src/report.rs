@@ -6,8 +6,13 @@
 //! format (fixed-width text via [`Table`], CSV, the JSON reports in
 //! `ants-bench`) derives from the same records, so EXPERIMENTS.md and
 //! dashboards can quote the same numbers.
+//!
+//! JSON goes through the workspace's one writer: a cell converts to a
+//! [`Json`] value (`From<&Value>`), [`Records`] hands out its columns and
+//! rows as [`Json`] arrays, and the report document in `ants-bench` is
+//! a [`Json`] tree printed by [`Json::serialize`].
 
-use crate::json;
+use crate::json::Json;
 use std::fmt;
 
 /// A typed table cell.
@@ -21,7 +26,7 @@ pub enum Value {
     Int(u64),
     /// A floating-point measurement. NaN renders as `-` in text tables
     /// (the conventional "not applicable" cell) and as the lossless
-    /// `"NaN"` sentinel in JSON (see [`json::number`]).
+    /// `"NaN"` sentinel in JSON (see [`Json::serialize`]).
     Num(f64),
     /// A text label.
     Text(String),
@@ -41,26 +46,28 @@ impl Value {
         }
     }
 
-    /// Serialize as a JSON token (full precision, stable).
-    ///
-    /// Integers above `2^53` are emitted as strings — beyond that point a
-    /// JSON consumer's `f64` would silently round them.
-    pub fn to_json(&self) -> String {
-        match self {
-            Value::Int(v) if *v <= (1u64 << 53) => v.to_string(),
-            Value::Int(v) => format!("\"{v}\""),
-            Value::Num(x) => json::number(*x),
-            Value::Text(s) => format!("\"{}\"", json::escape(s)),
-            Value::Bool(b) => b.to_string(),
-        }
-    }
-
     /// The cell as an `f64` (integers widen; text/bool are `None`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(v) => Some(*v as f64),
             Value::Num(x) => Some(*x),
             _ => None,
+        }
+    }
+}
+
+/// A cell as a JSON value (full precision, stable). Integers above
+/// `2^53` become strings — beyond that point a JSON consumer's `f64`
+/// would silently round them; floats keep the writer's `"NaN"`/`"Inf"`/
+/// `"-Inf"` sentinels.
+impl From<&Value> for Json {
+    fn from(v: &Value) -> Json {
+        match v {
+            Value::Int(n) if *n <= (1u64 << 53) => Json::Int(*n),
+            Value::Int(n) => Json::Str(n.to_string()),
+            Value::Num(x) => Json::Num(*x),
+            Value::Text(s) => Json::Str(s.clone()),
+            Value::Bool(b) => Json::Bool(*b),
         }
     }
 }
@@ -204,21 +211,24 @@ impl Records {
         self.to_table().to_csv()
     }
 
-    /// Serialize as a JSON fragment: `{"columns": [...], "rows": [[...]]}`
-    /// without the surrounding braces' siblings — callers embed it in
-    /// their own objects to control field order.
+    /// The column names as a JSON array of strings.
+    pub fn columns_json(&self) -> Json {
+        Json::Arr(self.columns.iter().map(|c| Json::from(c.as_str())).collect())
+    }
+
+    /// The rows as a JSON array of cell arrays.
+    pub fn rows_json(&self) -> Json {
+        Json::Arr(self.rows.iter().map(|r| Json::Arr(r.iter().map(Json::from).collect())).collect())
+    }
+
+    /// The `"columns":[...],"rows":[[...]]` members of a report document,
+    /// without the surrounding braces: the exact bytes
+    /// [`Records::columns_json`] and [`Records::rows_json`] serialize to
+    /// inside a report.
     pub fn json_fields(&self) -> String {
-        let cols: Vec<String> =
-            self.columns.iter().map(|c| format!("\"{}\"", json::escape(c))).collect();
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let cells: Vec<String> = r.iter().map(Value::to_json).collect();
-                format!("[{}]", cells.join(","))
-            })
-            .collect();
-        format!("\"columns\":[{}],\"rows\":[{}]", cols.join(","), rows.join(","))
+        let doc = Json::obj([("columns", self.columns_json()), ("rows", self.rows_json())]);
+        let text = doc.serialize();
+        text[1..text.len() - 1].to_string()
     }
 }
 
@@ -404,14 +414,17 @@ mod tests {
 
     #[test]
     fn value_json_tokens() {
-        assert_eq!(Value::Int(12).to_json(), "12");
+        let token = |v: Value| Json::from(&v).serialize();
+        assert_eq!(token(Value::Int(12)), "12");
         // Integers beyond f64's exact range are strings.
-        assert_eq!(Value::Int(u64::MAX).to_json(), format!("\"{}\"", u64::MAX));
-        assert_eq!(Value::Num(0.5).to_json(), "0.5");
-        assert_eq!(Value::Num(f64::NAN).to_json(), "\"NaN\"");
-        assert_eq!(Value::Num(f64::INFINITY).to_json(), "\"Inf\"");
-        assert_eq!(Value::Text("a\"b".into()).to_json(), "\"a\\\"b\"");
-        assert_eq!(Value::Bool(false).to_json(), "false");
+        assert_eq!(token(Value::Int(1 << 53)), "9007199254740992");
+        assert_eq!(token(Value::Int((1 << 53) + 1)), "\"9007199254740993\"");
+        assert_eq!(token(Value::Int(u64::MAX)), format!("\"{}\"", u64::MAX));
+        assert_eq!(token(Value::Num(0.5)), "0.5");
+        assert_eq!(token(Value::Num(f64::NAN)), "\"NaN\"");
+        assert_eq!(token(Value::Num(f64::INFINITY)), "\"Inf\"");
+        assert_eq!(token(Value::Text("a\"b".into())), "\"a\\\"b\"");
+        assert_eq!(token(Value::Bool(false)), "false");
     }
 
     #[test]
@@ -436,7 +449,7 @@ mod tests {
         let mut r = Records::new(vec!["name", "x"]);
         r.row(vec!["a,b\"c".into(), 2.5.into()]);
         let doc = format!("{{{}}}", r.json_fields());
-        let v = crate::json::Json::parse(&doc).unwrap();
+        let v = Json::parse(&doc).unwrap();
         assert_eq!(v.keys(), vec!["columns", "rows"]);
         let rows = v.get("rows").unwrap().as_array().unwrap();
         let row0 = rows[0].as_array().unwrap();
