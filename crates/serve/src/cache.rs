@@ -37,6 +37,9 @@ pub const DESCRIPTOR_FILE: &str = "descriptor.txt";
 /// The address-discovery file a running daemon writes at the cache root
 /// (`ants query --cache <dir>` reads it instead of `--addr`).
 pub const ADDR_FILE: &str = "serve.addr";
+/// The extension of the directory [`Entry::store`] writes before it
+/// renames it into place; one left behind marks a crash mid-store.
+const STAGING_EXT: &str = "staging";
 
 /// Is `commit` safe as a directory-name component? Same rule as the
 /// trend snapshot ids: ASCII `[A-Za-z0-9._-]`, non-empty, not all dots.
@@ -120,6 +123,9 @@ impl Entry {
     /// spec, and descriptor, written to a staging directory and renamed
     /// into place so concurrent readers never see a partial entry.
     ///
+    /// Returns the file bytes this call published, or `None` when the
+    /// entry was already in place and nothing was added to the cache.
+    ///
     /// # Errors
     ///
     /// I/O failures; the staging directory is cleaned up best-effort.
@@ -129,34 +135,69 @@ impl Entry {
         plan: &WorkloadPlan,
         report_json: &str,
         body: &str,
-    ) -> Result<(), String> {
-        let staging = self.dir.with_extension("staging");
-        let write = |name: &str, text: &str| -> Result<(), String> {
+    ) -> Result<Option<u64>, String> {
+        let staging = self.dir.with_extension(STAGING_EXT);
+        let write = |name: &str, text: &str| -> Result<u64, String> {
             let path = staging.join(name);
-            std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
+            std::fs::write(&path, text)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            Ok(text.len() as u64)
         };
         std::fs::create_dir_all(&staging)
             .map_err(|e| format!("cannot create {}: {e}", staging.display()))?;
         let stored = (|| {
-            write(&format!("{}.json", plan.key), report_json)?;
-            write(RESPONSE_FILE, body)?;
-            write(SPEC_FILE, &spec.to_toml())?;
-            write(DESCRIPTOR_FILE, &plan.cache_descriptor())?;
+            let bytes = write(&format!("{}.json", plan.key), report_json)?
+                + write(RESPONSE_FILE, body)?
+                + write(SPEC_FILE, &spec.to_toml())?
+                + write(DESCRIPTOR_FILE, &plan.cache_descriptor())?;
             // Idempotent re-store (a racing duplicate miss): the first
             // rename wins, later ones find the directory present and
             // discard their staging copy. Both bodies are byte-identical
             // by the determinism contract, so either is correct.
             if self.dir.exists() {
-                return Ok(());
+                return Ok(None);
             }
             std::fs::rename(&staging, &self.dir)
-                .map_err(|e| format!("cannot publish cache entry {}: {e}", self.key))
+                .map_err(|e| format!("cannot publish cache entry {}: {e}", self.key))?;
+            Ok(Some(bytes))
         })();
         if staging.exists() {
             let _ = std::fs::remove_dir_all(&staging);
         }
         stored
     }
+}
+
+/// Walk the cache root once: delete the staging directories a crash
+/// mid-[`Entry::store`] left behind, and count the entry directories
+/// and the file bytes under them, as `(entries, bytes)`.
+pub(crate) fn sweep(root: &Path) -> (u64, u64) {
+    let (mut entries, mut bytes) = (0u64, 0u64);
+    let Ok(rd) = std::fs::read_dir(root) else { return (0, 0) };
+    for path in rd.filter_map(Result::ok).map(|e| e.path()).filter(|p| p.is_dir()) {
+        if path.extension().is_some_and(|ext| ext == STAGING_EXT) {
+            let _ = std::fs::remove_dir_all(&path);
+        } else {
+            entries += 1;
+            bytes = bytes.saturating_add(dir_bytes(&path));
+        }
+    }
+    (entries, bytes)
+}
+
+/// Total file bytes under `dir`, recursively.
+fn dir_bytes(dir: &Path) -> u64 {
+    let mut total = 0u64;
+    if let Ok(rd) = std::fs::read_dir(dir) {
+        for path in rd.filter_map(Result::ok).map(|e| e.path()) {
+            if path.is_dir() {
+                total = total.saturating_add(dir_bytes(&path));
+            } else if let Ok(md) = path.metadata() {
+                total = total.saturating_add(md.len());
+            }
+        }
+    }
+    total
 }
 
 /// The newest other entry (by directory mtime, key breaking ties) under
@@ -261,14 +302,17 @@ population = [ { strategy = \"randomwalk\" } ]
         let entry = Entry::at(&root, &key);
         assert!(!entry.is_hit());
         let body = "{\"event\":\"cell\"}\n{\"event\":\"report\"}\n";
-        entry.store(&spec, &plan, "{\"schema\":\"ants-report/v1\"}", body).unwrap();
+        let published = entry.store(&spec, &plan, "{\"schema\":\"ants-report/v1\"}", body);
         assert!(entry.is_hit());
+        assert_eq!(published.unwrap(), Some(sweep(&root).1), "store reports the bytes it wrote");
         assert_eq!(entry.response().unwrap(), body);
         assert_eq!(entry.report_text(&plan.key).unwrap(), "{\"schema\":\"ants-report/v1\"}");
         let canon = std::fs::read_to_string(entry.dir.join(SPEC_FILE)).unwrap();
         assert_eq!(WorkloadSpec::parse(&canon).unwrap(), spec, "stored spec is canonical");
-        // Re-storing (racing duplicate miss) leaves the entry intact.
-        entry.store(&spec, &plan, "{\"schema\":\"ants-report/v1\"}", body).unwrap();
+        // Re-storing (racing duplicate miss) leaves the entry intact and
+        // publishes nothing.
+        let again = entry.store(&spec, &plan, "{\"schema\":\"ants-report/v1\"}", body);
+        assert_eq!(again.unwrap(), None);
         assert_eq!(entry.response().unwrap(), body);
         assert!(!entry.dir.with_extension("staging").exists(), "staging cleaned up");
         let _ = std::fs::remove_dir_all(&root);
