@@ -84,6 +84,37 @@ fn every_bundled_spec_smoke_runs() {
     }
 }
 
+/// A nested `mortal(mortal(..), ..)` entry runs to a report: once the
+/// inner wrapper expires the outer one must report halted too, or the
+/// move-bounded agent loop spins forever on an agent that never moves.
+/// The run happens on a helper thread so a regression fails the test
+/// instead of hanging the suite.
+#[test]
+fn nested_mortal_spec_runs_to_a_report() {
+    const SPEC: &str = r#"
+name = "nested-mortal"
+
+[[cells]]
+name = "nested"
+agents = 2
+trials = 2
+move_budget = 5000
+target = { model = "ball", dist = 6 }
+population = [{ strategy = "mortal(mortal(randomwalk, 3), 100)", weight = 1 }]
+"#;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let spec = ants_workload::WorkloadSpec::parse(SPEC).expect("spec parses");
+        let plan = ants_workload::WorkloadPlan::expand(&spec).expect("plan expands");
+        let report = WorkloadExperiment::new(plan).run(&RunConfig::smoke());
+        let _ = tx.send(report.to_csv());
+    });
+    let csv = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the nested mortal spec must finish");
+    assert!(csv.contains("nested"), "{csv}");
+}
+
 /// The adversarial battery's claim actually holds in the data: the
 /// above-threshold comparator cell beats the low-χ zoo's success rate
 /// on the adversarial corner at standard effort.

@@ -174,7 +174,9 @@ impl SearchStrategy for Expiring {
     }
 
     fn is_halted(&self) -> bool {
-        self.moves >= self.expiry
+        // A halted inner strategy (a nested `mortal(mortal(..), ..)`)
+        // never moves again either, so the lifetime can never run out.
+        self.moves >= self.expiry || self.inner.is_halted()
     }
 }
 
@@ -298,6 +300,20 @@ mod tests {
         e.reset();
         assert!(!e.is_halted());
         assert_eq!(e.moves_left(), 3);
+    }
+
+    #[test]
+    fn expiring_halts_when_its_inner_strategy_halts() {
+        let mut nested =
+            Expiring::new(Box::new(Expiring::new(Box::new(RandomWalk::new()), 3)), 100);
+        let mut rng = derive_rng(4, 0);
+        for _ in 0..50 {
+            let _ = nested.step(&mut rng);
+        }
+        assert_eq!(nested.moves_taken(), 3, "the inner wrapper expired first");
+        assert!(nested.is_halted(), "a halted inner strategy halts the wrapper");
+        nested.reset();
+        assert!(!nested.is_halted(), "reset revives both wrappers");
     }
 
     #[test]
