@@ -1031,6 +1031,49 @@ mod tests {
         assert!(runs > 1_000, "{runs} cases");
     }
 
+    /// The rewind path without thread races: every chunk runs unhinted
+    /// (fully speculative, capped only by finds inside the chunk) and in
+    /// reverse order, so the reduction must rewind every later-chunk agent
+    /// that ran past its serial cap.
+    #[test]
+    fn unhinted_reverse_order_chunks_reduce_to_the_serial_trial() {
+        let mut rewound = 0u32;
+        for (name, make) in zoo_families() {
+            for ceiling in [None, Some(32u64)] {
+                let make = Arc::clone(&make);
+                let mut b = Scenario::builder()
+                    .agents(7)
+                    .target(TargetPlacement::UniformInBall { distance: 4 })
+                    .move_budget(400)
+                    .strategy(move |_| make());
+                if let Some(c) = ceiling {
+                    b = b.guess_move_ceiling(c);
+                }
+                let s = b.build();
+                for seed in 0..3u64 {
+                    let reference = run_trial(&s, seed);
+                    for chunk in 1..=3usize {
+                        let plan = TrialPlan::new(&s, seed, chunk);
+                        let mut chunks: Vec<ChunkRun> =
+                            (0..plan.n_chunks()).rev().map(|c| plan.run_chunk(c)).collect();
+                        chunks.reverse();
+                        rewound += chunks[1..]
+                            .iter()
+                            .flat_map(|c| &c.agents)
+                            .filter(|a| a.moves.is_none())
+                            .count() as u32;
+                        assert_eq!(
+                            plan.reduce(&chunks),
+                            reference,
+                            "{name} ceiling {ceiling:?} seed {seed} chunk {chunk}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(rewound > 100, "only {rewound} speculative agents missed the target");
+    }
+
     #[test]
     fn hint_clamp_to_moves_run_does_no_more_work() {
         // Chunk 0 already published a one-move find, so chunk 1's first
