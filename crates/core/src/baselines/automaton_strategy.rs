@@ -58,11 +58,6 @@ impl SearchStrategy for AutomatonStrategy {
         SelectionComplexity::new(self.pfa.memory_bits(), self.pfa.ell())
     }
 
-    fn selection_complexity_is_static(&self) -> bool {
-        // A fixed automaton: states and resolution never change.
-        true
-    }
-
     fn reset(&mut self) {
         self.state = self.pfa.start();
     }

@@ -101,11 +101,6 @@ impl SearchStrategy for LevyWalk {
         SelectionComplexity::new(b, ell.max(1))
     }
 
-    fn selection_complexity_is_static(&self) -> bool {
-        // l_max and mu are construction parameters.
-        true
-    }
-
     fn reset(&mut self) {
         self.remaining = 0;
         self.dir = Direction::Up;

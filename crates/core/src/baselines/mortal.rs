@@ -78,10 +78,6 @@ impl<S: SearchStrategy> SearchStrategy for Mortal<S> {
         SelectionComplexity::new(inner.memory_bits() + 1, inner.ell().max(death_ell))
     }
 
-    fn selection_complexity_is_static(&self) -> bool {
-        self.inner.selection_complexity_is_static()
-    }
-
     fn reset(&mut self) {
         self.inner.reset();
         self.alive = true;
@@ -157,10 +153,6 @@ impl SearchStrategy for Expiring {
         // The counter holds expiry + 1 states (0..=expiry).
         let counter_bits = u64::BITS - self.expiry.leading_zeros();
         SelectionComplexity::new(inner.memory_bits() + counter_bits, inner.ell())
-    }
-
-    fn selection_complexity_is_static(&self) -> bool {
-        self.inner.selection_complexity_is_static()
     }
 
     fn reset(&mut self) {

@@ -46,10 +46,6 @@ impl SearchStrategy for RandomWalk {
         SelectionComplexity::new(3, 2)
     }
 
-    fn selection_complexity_is_static(&self) -> bool {
-        true
-    }
-
     fn reset(&mut self) {}
 }
 

@@ -61,10 +61,6 @@ impl SearchStrategy for NonUniformSearch {
         self.inner.selection_complexity()
     }
 
-    fn selection_complexity_is_static(&self) -> bool {
-        self.inner.selection_complexity_is_static()
-    }
-
     fn reset(&mut self) {
         self.inner.reset();
     }
@@ -147,12 +143,6 @@ impl SearchStrategy for CoinNonUniformSearch {
         // Memory: the square-search component (flip counter + 2 phase bits)
         // plus one bit for the search/return phase.
         SelectionComplexity::new(self.search.memory_bits() + 1, self.ell)
-    }
-
-    fn selection_complexity_is_static(&self) -> bool {
-        // k and ell are fixed at construction; the square-search memory
-        // bound is a function of k alone.
-        true
     }
 
     fn reset(&mut self) {

@@ -39,19 +39,6 @@ pub trait SearchStrategy: Send {
     /// simulator tracks the running maximum.
     fn selection_complexity(&self) -> SelectionComplexity;
 
-    /// Is [`selection_complexity`](SearchStrategy::selection_complexity)
-    /// constant over the strategy's whole lifetime — a pure function of
-    /// construction parameters, unaffected by steps, resets, and aborts?
-    ///
-    /// Fixed automata and fixed-parameter walks return `true`; the
-    /// simulator then knows the running-max footprint without sampling it
-    /// after every move (speculative agent chunks otherwise record a
-    /// per-move breakpoint curve so their footprints can be rewound to an
-    /// earlier cap). The default `false` is always safe, merely slower.
-    fn selection_complexity_is_static(&self) -> bool {
-        false
-    }
-
     /// Restart from the initial state (new agent, fresh memory).
     fn reset(&mut self);
 

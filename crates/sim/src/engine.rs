@@ -88,49 +88,6 @@ impl CapHint {
 /// error.
 const HINT_POLL_MASK: u64 = 0x3F;
 
-/// Chi-footprint breakpoints for a whole chunk, stored as one packed
-/// arena instead of a `Vec` per agent.
-///
-/// Speculative chunks record `(moves, running-max footprint)` breakpoints
-/// so the reduction can rewind each agent to its serial stop. Per-agent
-/// `Vec`s made that one heap allocation per agent on the hot path; the
-/// arena appends every agent's breakpoints to two chunk-level parallel
-/// arrays (structure-of-arrays, with the footprint bit-packed into a
-/// single word) and hands each agent a `(start, end)` span. Lookups
-/// binary-search the span — breakpoint move counts are strictly
-/// increasing within it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct ChiArena {
-    /// Breakpoint move counts, strictly increasing within each span.
-    moves: Vec<u64>,
-    /// The running-max footprint at each breakpoint, packed
-    /// `memory_bits << 32 | ell`.
-    packed: Vec<u64>,
-}
-
-impl ChiArena {
-    fn mark(&self) -> u32 {
-        debug_assert!(self.moves.len() <= u32::MAX as usize);
-        self.moves.len() as u32
-    }
-
-    fn push(&mut self, moves: u64, chi: SelectionComplexity) {
-        self.moves.push(moves);
-        self.packed.push((u64::from(chi.memory_bits()) << 32) | u64::from(chi.ell()));
-    }
-
-    /// The last recorded footprint in `span` at or below `cap` moves, or
-    /// `None` when the span holds no breakpoint that early.
-    fn chi_at(&self, span: (u32, u32), cap: u64) -> Option<SelectionComplexity> {
-        let (start, end) = (span.0 as usize, span.1 as usize);
-        let idx = self.moves[start..end].partition_point(|&m| m <= cap);
-        idx.checked_sub(1).map(|i| {
-            let packed = self.packed[start + i];
-            SelectionComplexity::new((packed >> 32) as u32, packed as u32)
-        })
-    }
-}
-
 /// One agent simulated under an explicit move cap.
 ///
 /// Pure in `(scenario, trial_seed, agent index, cap)`: the agent's RNG
@@ -138,7 +95,8 @@ impl ChiArena {
 /// run is identical no matter which chunk (or thread) executes it. A
 /// shared [`CapHint`] may lower `cap` mid-run; that only moves the stop
 /// point between the serial stop and the unhinted speculative stop, which
-/// the reduction treats identically.
+/// the reduction treats identically. The same purity lets the reduction
+/// rewind a speculative agent by running it again at its serial cap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct AgentRun {
     /// The cap this agent ran with (at least 1 at its start; a chunk
@@ -159,14 +117,6 @@ struct AgentRun {
     hint_clamps: u64,
     /// Running-max selection-complexity footprint at the agent's stop.
     chi: SelectionComplexity,
-    /// This agent's breakpoint span in the chunk's [`ChiArena`],
-    /// recorded only for speculative chunks (chunk index > 0). The
-    /// reduction evaluates the footprint at any cap at or below the
-    /// speculative stop without re-simulating. Empty (`start == end`)
-    /// when tracking was off — chunk 0 runs with the exact serial caps —
-    /// when the strategy declares a static footprint, or when the agent
-    /// never moved (in each case `chi` is exact at every cap).
-    curve: (u32, u32),
 }
 
 /// Simulate one agent until it finds `target`, exhausts `cap` moves, or
@@ -175,31 +125,20 @@ struct AgentRun {
 /// This drives the shared stepping core one stride at a time
 /// ([`AgentStepper`] owns the transition semantics and the stride bounds
 /// that keep the target and ceiling checks exact; this loop adds the
-/// engine's cap policy). With an `arena` every stride is one move, and
-/// the running-max footprint is snapshotted after it (including that
-/// move's abort processing), producing the breakpoint span
-/// [`ChiArena::chi_at`] evaluates. With a `hint`, strides also end at
-/// every [`HINT_POLL_MASK`] step boundary, where the cap is lowered
-/// toward finds published by earlier chunks — never below what the agent
-/// has already run, and never below the serial cap.
+/// engine's cap policy). With a `hint`, strides also end at every
+/// [`HINT_POLL_MASK`] step boundary, where the cap is lowered toward
+/// finds published by earlier chunks — never below what the agent has
+/// already run, and never below the serial cap.
 fn run_agent(
     scenario: &Scenario,
     trial_seed: u64,
     target: Point,
     agent_idx: usize,
     mut cap: u64,
-    arena: Option<&mut ChiArena>,
     hint: Option<(&CapHint, usize)>,
 ) -> AgentRun {
     debug_assert!(cap > 0, "callers skip capped-out agents");
     let mut stepper = AgentStepper::for_scenario(scenario, trial_seed, Some(target), agent_idx);
-    // A static footprint needs no breakpoint curve: the empty span makes
-    // the reduction fall back to `run.chi`, which is exact at every cap.
-    // This skips the per-move footprint sampling for fixed automata and
-    // fixed-parameter walks — the bulk of speculative-chunk overhead.
-    let mut arena = arena.filter(|_| !stepper.chi_static());
-    let start = arena.as_deref().map_or(0, ChiArena::mark);
-    let mut last_chi: Option<SelectionComplexity> = None;
     let mut found = false;
     let mut hint_polls = 0u64;
     let mut hint_clamps = 0u64;
@@ -228,19 +167,9 @@ fn run_agent(
             }
             max_steps = HINT_POLL_MASK + 1 - phase;
         }
-        let moves = stepper.moves();
-        // A recorded curve needs a breakpoint after every move.
-        let max_moves = if arena.is_some() { 1 } else { cap - moves };
-        if stepper.stride(max_moves, max_steps) {
+        if stepper.stride(cap - stepper.moves(), max_steps) {
             found = true;
             break;
-        }
-        if let Some(a) = arena.as_deref_mut().filter(|_| stepper.moves() > moves) {
-            let at = stepper.chi();
-            if last_chi != Some(at) {
-                a.push(stepper.moves(), at);
-                last_chi = Some(at);
-            }
         }
     }
     // Between aborts the selection-complexity footprint is monotone over
@@ -248,7 +177,6 @@ fn run_agent(
     // phase-based strategies whose counters widen), so the stepper's
     // final sample — plus its sample before each abort — captures the
     // run's maximum.
-    let end = arena.map_or(start, |a| a.mark());
     AgentRun {
         cap,
         moves: found.then(|| stepper.moves()),
@@ -257,7 +185,6 @@ fn run_agent(
         hint_polls,
         hint_clamps,
         chi: stepper.chi(),
-        curve: (start, end),
     }
 }
 
@@ -284,9 +211,6 @@ pub struct HintStats {
 pub struct ChunkRun {
     first_agent: usize,
     agents: Vec<AgentRun>,
-    /// Footprint breakpoints for every tracked agent in the chunk (see
-    /// [`ChiArena`]); empty for chunk 0.
-    curve: ChiArena,
     /// Aggregated hint-effectiveness counters (telemetry only).
     hint: HintStats,
 }
@@ -319,32 +243,6 @@ impl ChunkRun {
     pub fn hint_stats(&self) -> HintStats {
         self.hint
     }
-
-    /// The footprint the serial engine would report had agent `offset`
-    /// (chunk-relative) been stopped at `cap` moves (`cap` at most the
-    /// recorded stop).
-    ///
-    /// Valid because the tracked running max is monotone in the move
-    /// count: footprints are non-decreasing between guess aborts, and the
-    /// footprint right before each abort is folded in when it happens. An
-    /// agent with no breakpoints never moved, so its final footprint is
-    /// exact at every cap.
-    fn chi_at(&self, offset: usize, cap: u64) -> SelectionComplexity {
-        let run = &self.agents[offset];
-        self.curve.chi_at(run.curve, cap).unwrap_or(if run.curve.0 == run.curve.1 {
-            // No curve recorded: tracking was off, the footprint is
-            // static, or the agent never moved — in each case `chi` is
-            // exact at every cap.
-            run.chi
-        } else {
-            // Breakpoints exist but all lie past `cap`: the footprint at
-            // `cap` predates the first move, i.e. the birth footprint —
-            // unreachable in practice because the first move (moves = 1,
-            // with the birth footprint already folded into the running
-            // max) is always a breakpoint and `cap >= 1`.
-            SelectionComplexity::new(0, 0)
-        })
-    }
 }
 
 /// A trial split into deterministic agent chunks.
@@ -370,11 +268,13 @@ impl ChunkRun {
 ///   cap reaches zero).
 /// * **Chi footprint.** Chunks after the first run with *speculative*
 ///   caps (their local prefix best, lowered toward the serial cap by the
-///   shared [`CapHint`] but never below it), and record running-max
-///   footprint breakpoints per move; the reduction evaluates each agent's
-///   footprint at its exact serial stop via `ChunkRun::chi_at`. Chunk
-///   0's local caps equal the serial caps, so it skips tracking entirely
-///   — a single-chunk plan is the serial engine, unchanged.
+///   shared [`CapHint`] but never below it). An agent that ran past its
+///   serial cap without finding the target within it is rewound by
+///   running it again at the serial cap: its run is a pure function of
+///   `(scenario, trial_seed, agent index, cap)`, so the replay stops
+///   exactly where the serial engine does and reports its footprint.
+///   Chunk 0's local caps equal the serial caps, so it never replays — a
+///   single-chunk plan is the serial engine, unchanged.
 pub struct TrialPlan<'a> {
     scenario: &'a Scenario,
     trial_seed: u64,
@@ -442,20 +342,14 @@ impl<'a> TrialPlan<'a> {
         assert!(chunk_idx < self.n_chunks(), "chunk {chunk_idx} out of range");
         let first_agent = chunk_idx * self.chunk;
         let end = (first_agent + self.chunk).min(self.scenario.n_agents());
-        // Chunk 0's local caps coincide with the serial caps, so its chi
-        // values are exact as-is (and no hint can lower them: it only
-        // carries finds by *earlier* chunks); later chunks speculate and
-        // must track the footprint curve for the reduction to rewind.
-        let track = chunk_idx > 0;
         let target = self.place_target();
         let budget = self.scenario.move_budget();
         let mut best: Option<u64> = None;
         let mut agents = Vec::with_capacity(end - first_agent);
-        let mut curve = ChiArena::default();
         let mut stats = HintStats::default();
         // Mid-run polling is pointless for chunk 0 (its hinted cap is
         // always u64::MAX), so only speculative chunks pay for it.
-        let poll = hint.filter(|_| track).map(|h| (h, chunk_idx));
+        let poll = hint.filter(|_| chunk_idx > 0).map(|h| (h, chunk_idx));
         for agent_idx in first_agent..end {
             let local = match best {
                 // A later agent only matters if strictly faster.
@@ -481,9 +375,7 @@ impl<'a> TrialPlan<'a> {
                 // agent and never reads past the truncation.
                 break;
             }
-            let arena = track.then_some(&mut curve);
-            let run =
-                run_agent(self.scenario, self.trial_seed, target, agent_idx, cap, arena, poll);
+            let run = run_agent(self.scenario, self.trial_seed, target, agent_idx, cap, poll);
             stats.polls += run.hint_polls;
             stats.clamps += run.hint_clamps;
             if run.moves.is_none() && run.cap < local {
@@ -500,7 +392,7 @@ impl<'a> TrialPlan<'a> {
             }
             agents.push(run);
         }
-        ChunkRun { first_agent, agents, curve, hint: stats }
+        ChunkRun { first_agent, agents, hint: stats }
     }
 
     /// Reduce chunk results in canonical agent order into the trial's
@@ -510,18 +402,22 @@ impl<'a> TrialPlan<'a> {
     ///
     /// Panics if the chunks are not exactly this plan's chunks in order.
     pub fn reduce(&self, chunks: &[ChunkRun]) -> TrialResult {
-        self.reduce_iter(chunks.iter())
+        self.reduce_iter(chunks.iter()).0
     }
 
+    /// [`TrialPlan::reduce`], also returning the steps simulated to
+    /// rewind speculative agents (work instrumentation, like
+    /// [`ChunkRun::work`]).
     pub(crate) fn reduce_iter<'c>(
         &self,
         chunks: impl Iterator<Item = &'c ChunkRun>,
-    ) -> TrialResult {
+    ) -> (TrialResult, u64) {
         let target = self.place_target();
         let budget = self.scenario.move_budget();
         let mut best: Option<(u64, u64, usize)> = None; // (moves, steps, agent)
         let mut chi = SelectionComplexity::new(0, 0);
         let mut consumed = 0usize;
+        let mut replayed = 0u64;
         'trial: for (chunk_idx, chunk) in chunks.enumerate() {
             assert_eq!(chunk.first_agent, chunk_idx * self.chunk, "chunks out of order");
             for (offset, run) in chunk.agents.iter().enumerate() {
@@ -556,10 +452,17 @@ impl<'a> TrialPlan<'a> {
                         // The chunk speculated past the serial cap (its
                         // local prefix best and any hinted cap are never
                         // below the serial prefix best, so
-                        // `run.cap > cap`); rewind the tracked footprint
-                        // curve to the serial stop.
+                        // `run.cap > cap`); rewind by replaying the agent
+                        // at the serial cap. Its trajectory does not
+                        // depend on the cap, so the replay cannot find the
+                        // target either and stops at the serial stop.
                         debug_assert!(run.cap > cap, "chunk cap below the serial cap");
-                        chi = chi.max(chunk.chi_at(offset, cap));
+                        let agent = chunk.first_agent + offset;
+                        let replay =
+                            run_agent(self.scenario, self.trial_seed, target, agent, cap, None);
+                        debug_assert!(replay.moves.is_none(), "a rewound agent found the target");
+                        replayed += replay.work;
+                        chi = chi.max(replay.chi);
                     }
                 }
             }
@@ -569,13 +472,14 @@ impl<'a> TrialPlan<'a> {
             "reduction consumed {consumed} of {} agents",
             self.scenario.n_agents()
         );
-        TrialResult {
+        let result = TrialResult {
             target,
             moves: best.map(|(m, _, _)| m),
             steps: best.map(|(_, s, _)| s),
             winner: best.map(|(_, _, a)| a),
             chi_footprint: chi,
-        }
+        };
+        (result, replayed)
     }
 
     /// Run every chunk on the calling thread and reduce.
@@ -842,21 +746,16 @@ mod tests {
     /// The per-step loop the strided [`run_agent`] replaced, kept as the
     /// reference it must reproduce: one [`AgentStepper::step`] per
     /// iteration, a hint poll before every step whose count is a
-    /// multiple of 64, and a curve breakpoint after every move. It
-    /// carries the post-clamp stop of `hint_clamp_to_moves_run_does_no_more_work`.
+    /// multiple of 64. It carries the post-clamp stop of `hint_clamp_to_moves_run_does_no_more_work`.
     fn run_agent_stepwise(
         scenario: &Scenario,
         trial_seed: u64,
         target: Point,
         agent_idx: usize,
         mut cap: u64,
-        arena: Option<&mut ChiArena>,
         hint: Option<(&CapHint, usize)>,
     ) -> AgentRun {
         let mut stepper = AgentStepper::for_scenario(scenario, trial_seed, Some(target), agent_idx);
-        let mut arena = arena.filter(|_| !stepper.chi_static());
-        let start = arena.as_deref().map_or(0, ChiArena::mark);
-        let mut last_chi: Option<SelectionComplexity> = None;
         let mut found = false;
         let (mut hint_polls, mut hint_clamps) = (0u64, 0u64);
         while stepper.moves() < cap && !stepper.halted() {
@@ -878,17 +777,7 @@ mod tests {
                 found = true;
                 break;
             }
-            if out.moved {
-                if let Some(a) = arena.as_deref_mut() {
-                    let at = stepper.chi();
-                    if last_chi != Some(at) {
-                        a.push(stepper.moves(), at);
-                        last_chi = Some(at);
-                    }
-                }
-            }
         }
-        let end = arena.map_or(start, |a| a.mark());
         AgentRun {
             cap,
             moves: found.then(|| stepper.moves()),
@@ -897,7 +786,6 @@ mod tests {
             hint_polls,
             hint_clamps,
             chi: stepper.chi(),
-            curve: (start, end),
         }
     }
 
@@ -984,44 +872,24 @@ mod tests {
                     let target = place_target(&s, seed);
                     for agent in 0..s.n_agents() {
                         for cap in [1, BUDGET] {
-                            for track in [false, true] {
-                                // A hint pre-published by chunk 0 clamps
-                                // chunk 1's agent at its first poll.
-                                for published in [None, Some(40u64)] {
-                                    let hint = published.map(|m| {
-                                        let h = CapHint::new(2);
-                                        h.publish(0, m);
-                                        h
-                                    });
-                                    let poll = hint.as_ref().map(|h| (h, 1));
-                                    let (mut a1, mut a2) =
-                                        (ChiArena::default(), ChiArena::default());
-                                    let strided = run_agent(
-                                        &s,
-                                        seed,
-                                        target,
-                                        agent,
-                                        cap,
-                                        track.then_some(&mut a1),
-                                        poll,
-                                    );
-                                    let stepwise = run_agent_stepwise(
-                                        &s,
-                                        seed,
-                                        target,
-                                        agent,
-                                        cap,
-                                        track.then_some(&mut a2),
-                                        poll,
-                                    );
-                                    let case = format!(
-                                        "{name} {placement:?} ceiling {ceiling:?} seed {seed} \
-                                         agent {agent} cap {cap} track {track} hint {published:?}"
-                                    );
-                                    assert_eq!(strided, stepwise, "{case}");
-                                    assert_eq!(a1, a2, "{case}: curve arenas differ");
-                                    runs += 1;
-                                }
+                            // A hint pre-published by chunk 0 clamps
+                            // chunk 1's agent at its first poll.
+                            for published in [None, Some(40u64)] {
+                                let hint = published.map(|m| {
+                                    let h = CapHint::new(2);
+                                    h.publish(0, m);
+                                    h
+                                });
+                                let poll = hint.as_ref().map(|h| (h, 1));
+                                let strided = run_agent(&s, seed, target, agent, cap, poll);
+                                let stepwise =
+                                    run_agent_stepwise(&s, seed, target, agent, cap, poll);
+                                let case = format!(
+                                    "{name} {placement:?} ceiling {ceiling:?} seed {seed} \
+                                     agent {agent} cap {cap} hint {published:?}"
+                                );
+                                assert_eq!(strided, stepwise, "{case}");
+                                runs += 1;
                             }
                         }
                     }
@@ -1075,6 +943,32 @@ mod tests {
     }
 
     #[test]
+    fn only_speculative_reductions_replay_agents() {
+        let s = Scenario::builder()
+            .agents(7)
+            .target(TargetPlacement::UniformInBall { distance: 4 })
+            .move_budget(400)
+            .strategy(|_| Box::new(RandomWalk::new()))
+            .build();
+        let (mut unhinted, mut canonical) = (0u64, 0u64);
+        for seed in 0..3u64 {
+            let plan = TrialPlan::new(&s, seed, 1);
+            let chunks: Vec<ChunkRun> = (0..plan.n_chunks()).map(|c| plan.run_chunk(c)).collect();
+            let (result, replayed) = plan.reduce_iter(chunks.iter());
+            assert_eq!(result, run_trial(&s, seed));
+            unhinted += replayed;
+            // `TrialPlan::run`'s schedule: hinted chunks in canonical
+            // order start every agent at its serial cap.
+            let hint = plan.hint();
+            let chunks: Vec<ChunkRun> =
+                (0..plan.n_chunks()).map(|c| plan.run_chunk_hinted(c, &hint)).collect();
+            canonical += plan.reduce_iter(chunks.iter()).1;
+        }
+        assert!(unhinted > 0, "unhinted chunks speculate past the serial caps");
+        assert_eq!(canonical, 0, "a canonical-order run never rewinds");
+    }
+
+    #[test]
     fn hint_clamp_to_moves_run_does_no_more_work() {
         // Chunk 0 already published a one-move find, so chunk 1's first
         // poll clamps its agent to the zero moves it has run: the agent
@@ -1083,7 +977,7 @@ mod tests {
         let target = place_target(&s, 1);
         let hint = CapHint::new(2);
         hint.publish(0, 1);
-        let run = run_agent(&s, 1, target, 1, s.move_budget(), None, Some((&hint, 1)));
+        let run = run_agent(&s, 1, target, 1, s.move_budget(), Some((&hint, 1)));
         assert_eq!((run.cap, run.moves, run.work), (0, None, 0));
         assert_eq!((run.hint_polls, run.hint_clamps), (1, 1));
     }

@@ -307,7 +307,7 @@ pub fn run_observed_sweep(
         },
         // Every merge is also order-independent; the canonical order
         // makes that fact unnecessary for determinism.
-        |_, parts| {
+        |_, _, parts| {
             let mut merged = parts.next().expect("a trial has at least one unit").clone();
             for part in parts {
                 for (a, b) in merged.iter_mut().zip(part) {
@@ -353,7 +353,15 @@ fn sweep_trials(jobs: &[(&Scenario, u64, u64)], opts: &SweepOptions) -> Vec<Outc
             }
             run
         },
-        |u, chunks| trial_plan(u).reduce_iter(chunks),
+        |w, u, chunks| {
+            // Rewinding a speculative agent replays it: count those steps
+            // too, so `engine_steps` covers every step simulated.
+            let (result, replayed) = trial_plan(u).reduce_iter(chunks);
+            if let Some(t) = tele {
+                t.add(w, Counter::EngineSteps, replayed);
+            }
+            result
+        },
     );
     per_job.into_iter().map(Outcome::new).collect()
 }
@@ -505,11 +513,12 @@ impl Sweep {
     /// Execute the sweep: wave 1 drains every unit through `run`; wave 2
     /// reduces each chunked trial's outputs, in canonical chunk order,
     /// through `reduce`. A one-unit trial is reduced inside wave 1 and
-    /// never enters wave 2. Returns per job, per trial, the reduction.
+    /// never enters wave 2. Both closures receive the executing worker's
+    /// index. Returns per job, per trial, the reduction.
     fn run<C, R>(
         &self,
         run: impl Fn(usize, &Unit) -> C + Sync,
-        reduce: impl Fn(&Unit, &mut dyn Iterator<Item = &C>) -> R + Sync,
+        reduce: impl Fn(usize, &Unit, &mut dyn Iterator<Item = &C>) -> R + Sync,
     ) -> Vec<Vec<R>>
     where
         C: Send + Sync,
@@ -527,7 +536,7 @@ impl Sweep {
         let outs = drain(&self.units, self.threads, tele, |w, u| {
             let part = run(w, u);
             if self.trials[u.trial].len() == 1 {
-                Out::Done(reduce(u, &mut std::iter::once(&part)))
+                Out::Done(reduce(w, u, &mut std::iter::once(&part)))
             } else {
                 Out::Part(part)
             }
@@ -547,7 +556,7 @@ impl Sweep {
                 Out::Part(part) => part,
                 Out::Done(_) => unreachable!("a reduced trial inside a chunked range"),
             });
-            reduce(&self.units[r.start], &mut parts)
+            reduce(w, &self.units[r.start], &mut parts)
         });
         drop(reduce_span);
 

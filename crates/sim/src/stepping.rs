@@ -255,16 +255,6 @@ impl AgentStepper {
     pub fn halted(&self) -> bool {
         self.strategy.is_halted()
     }
-
-    /// Is [`AgentStepper::chi`] constant for this agent's whole run?
-    ///
-    /// True when the strategy declares a static footprint: the running
-    /// max of a constant (and of its abort samples) is that constant, so
-    /// callers that would otherwise sample the footprint after every
-    /// move (the speculative-chunk breakpoint curves) can skip it.
-    pub fn chi_static(&self) -> bool {
-        self.strategy.selection_complexity_is_static()
-    }
 }
 
 impl std::fmt::Debug for AgentStepper {
