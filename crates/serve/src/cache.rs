@@ -37,9 +37,11 @@ pub const DESCRIPTOR_FILE: &str = "descriptor.txt";
 /// The address-discovery file a running daemon writes at the cache root
 /// (`ants query --cache <dir>` reads it instead of `--addr`).
 pub const ADDR_FILE: &str = "serve.addr";
-/// The extension of the directory [`Entry::store`] writes before it
-/// renames it into place; one left behind marks a crash mid-store.
-const STAGING_EXT: &str = "staging";
+/// The name prefix of the directory [`Entry::store`] writes before it
+/// renames it into place; one left behind marks a crash mid-store. Keys
+/// start with the plan hash's hex digits, so no entry name starts with a
+/// dot and no commit id can make an entry look like a staging directory.
+const STAGING_PREFIX: &str = ".staging-";
 
 /// Is `commit` safe as a directory-name component? Same rule as the
 /// trend snapshot ids: ASCII `[A-Za-z0-9._-]`, non-empty, not all dots.
@@ -93,6 +95,12 @@ impl Entry {
         Entry { key: key.to_string(), dir: root.join(key) }
     }
 
+    /// The directory [`Entry::store`] writes before publishing: a sibling
+    /// of the entry, `.staging-{key}`.
+    fn staging_dir(&self) -> PathBuf {
+        self.dir.with_file_name(format!("{STAGING_PREFIX}{}", self.key))
+    }
+
     /// Does this entry hold a complete stored response?
     pub fn is_hit(&self) -> bool {
         self.dir.join(RESPONSE_FILE).is_file()
@@ -136,7 +144,7 @@ impl Entry {
         report_json: &str,
         body: &str,
     ) -> Result<Option<u64>, String> {
-        let staging = self.dir.with_extension(STAGING_EXT);
+        let staging = self.staging_dir();
         let write = |name: &str, text: &str| -> Result<u64, String> {
             let path = staging.join(name);
             std::fs::write(&path, text)
@@ -175,7 +183,7 @@ pub(crate) fn sweep(root: &Path) -> (u64, u64) {
     let (mut entries, mut bytes) = (0u64, 0u64);
     let Ok(rd) = std::fs::read_dir(root) else { return (0, 0) };
     for path in rd.filter_map(Result::ok).map(|e| e.path()).filter(|p| p.is_dir()) {
-        if path.extension().is_some_and(|ext| ext == STAGING_EXT) {
+        if is_staging(&path) {
             let _ = std::fs::remove_dir_all(&path);
         } else {
             entries += 1;
@@ -183,6 +191,11 @@ pub(crate) fn sweep(root: &Path) -> (u64, u64) {
         }
     }
     (entries, bytes)
+}
+
+/// Is `path` a staging directory of [`Entry::store`]?
+fn is_staging(path: &Path) -> bool {
+    path.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with(STAGING_PREFIX))
 }
 
 /// Total file bytes under `dir`, recursively.
@@ -208,7 +221,7 @@ pub fn latest_baseline(root: &Path, wkey: &str, exclude: &str) -> Option<Entry> 
     let mut candidates: Vec<(std::time::SystemTime, String, PathBuf)> = entries
         .filter_map(Result::ok)
         .map(|e| e.path())
-        .filter(|p| p.is_dir())
+        .filter(|p| p.is_dir() && !is_staging(p))
         .filter_map(|p| {
             let key = p.file_name()?.to_str()?.to_string();
             if key == exclude || !p.join(format!("{wkey}.json")).is_file() {
@@ -314,7 +327,29 @@ population = [ { strategy = \"randomwalk\" } ]
         let again = entry.store(&spec, &plan, "{\"schema\":\"ants-report/v1\"}", body);
         assert_eq!(again.unwrap(), None);
         assert_eq!(entry.response().unwrap(), body);
-        assert!(!entry.dir.with_extension("staging").exists(), "staging cleaned up");
+        assert!(!entry.staging_dir().exists(), "staging cleaned up");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn dotted_commits_stage_apart_from_their_entries() {
+        let root = temp_root("dotted");
+        let (spec, plan) = plan();
+        let at = |commit: &str| Entry::at(&root, &cache_key(&plan, &RunConfig::smoke(), commit));
+        // Keys end in the commit id: staging must not depend on its dots.
+        assert_ne!(at("v1.2").staging_dir(), at("v1.3").staging_dir());
+        // An entry whose commit looks like a staging suffix is stored,
+        // stays a hit, and survives the bind-time sweep.
+        let entry = at("x.staging");
+        assert_ne!(entry.staging_dir(), entry.dir);
+        entry.store(&spec, &plan, "{}", "x\n").unwrap();
+        assert!(entry.is_hit(), "the store published the entry");
+        assert_eq!(sweep(&root).0, 1, "the sweep counts the entry");
+        assert!(entry.is_hit(), "the sweep kept the entry");
+        // A crash leftover is swept.
+        std::fs::create_dir_all(at("v1.2").staging_dir()).unwrap();
+        assert_eq!(sweep(&root).0, 1);
+        assert!(!at("v1.2").staging_dir().exists(), "staging leftover swept");
         let _ = std::fs::remove_dir_all(&root);
     }
 

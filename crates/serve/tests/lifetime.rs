@@ -152,10 +152,10 @@ fn clients_that_never_end_their_line_are_dropped_at_the_deadline() {
 #[test]
 fn bind_sweeps_crash_leftovers_from_staging() {
     let cache = fresh_root("staging");
-    std::fs::create_dir_all(cache.join("k.staging")).unwrap();
-    std::fs::write(cache.join("k.staging").join("x"), "half-written").unwrap();
+    std::fs::create_dir_all(cache.join(".staging-k")).unwrap();
+    std::fs::write(cache.join(".staging-k").join("x"), "half-written").unwrap();
     let d = Daemon::on(cache);
-    assert!(!d.cache.join("k.staging").exists(), "staging leftover swept at bind");
+    assert!(!d.cache.join(".staging-k").exists(), "staging leftover swept at bind");
     let stats = d.stats();
     assert_eq!(stats.get("entries").and_then(Json::as_f64), Some(0.0));
     let serve = stats.get("telemetry").and_then(|t| t.get("serve")).unwrap();
