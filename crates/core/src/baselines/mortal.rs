@@ -167,7 +167,8 @@ impl SearchStrategy for Expiring {
 
     fn is_halted(&self) -> bool {
         // A halted inner strategy (a nested `mortal(mortal(..), ..)`)
-        // never moves again either, so the lifetime can never run out.
+        // never moves again, so this wrapper's move count would never
+        // reach the expiry.
         self.moves >= self.expiry || self.inner.is_halted()
     }
 }

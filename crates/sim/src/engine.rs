@@ -745,8 +745,9 @@ mod tests {
 
     /// The per-step loop the strided [`run_agent`] replaced, kept as the
     /// reference it must reproduce: one [`AgentStepper::step`] per
-    /// iteration, a hint poll before every step whose count is a
-    /// multiple of 64. It carries the post-clamp stop of `hint_clamp_to_moves_run_does_no_more_work`.
+    /// iteration and a hint poll before every step whose count is a
+    /// multiple of 64. It carries the post-clamp stop of
+    /// `hint_clamp_to_moves_run_does_no_more_work`.
     fn run_agent_stepwise(
         scenario: &Scenario,
         trial_seed: u64,
