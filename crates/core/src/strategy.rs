@@ -68,9 +68,9 @@ pub trait SearchStrategy: Send {
     }
 
     /// Take [`step`](SearchStrategy::step)s until the first of: the
-    /// `max_moves`-th move, an [`GridAction::Origin`], `max_steps` steps,
-    /// or [`is_halted`](SearchStrategy::is_halted) (polled before every
-    /// step). Both bounds must be at least 1.
+    /// `max_moves`-th move, an [`GridAction::Origin`], or
+    /// [`is_halted`](SearchStrategy::is_halted) (polled before every
+    /// step). `max_moves` must be at least 1.
     ///
     /// The default body is instantiated once per implementor, so `step`
     /// and `is_halted` are static calls inside it: a simulator holding a
@@ -82,10 +82,10 @@ pub trait SearchStrategy: Send {
     /// draw-for-draw equivalent to the default: every golden and
     /// determinism test of the simulator relies on a stride being
     /// indistinguishable from the steps it replaces.
-    fn advance(&mut self, rng: &mut DefaultRng, max_moves: u64, max_steps: u64) -> Stride {
-        debug_assert!(max_moves >= 1 && max_steps >= 1, "empty stride");
+    fn advance(&mut self, rng: &mut DefaultRng, max_moves: u64) -> Stride {
+        debug_assert!(max_moves >= 1, "empty stride");
         let mut s = Stride::default();
-        while s.steps < max_steps && !self.is_halted() {
+        while !self.is_halted() {
             let action = self.step(rng);
             s.steps += 1;
             match action {
@@ -224,16 +224,15 @@ mod tests {
         let mut rng = ants_rng::derive_rng(0, 0);
         let mut s = Script(vec![up, Stay, right, Origin, right, up, Stay, Stay, up]);
         // Ends right after the Origin; the moves before it still count.
-        let a = s.advance(&mut rng, 10, 10);
+        let a = s.advance(&mut rng, 10);
         assert_eq!(a, Stride { dx: 0, dy: 0, moves: 2, steps: 4, ended_on_origin: true });
         assert_eq!(a.apply(Point::new(7, 7)), Point::ORIGIN);
         // Ends on the max_moves-th move, before the steps that follow it.
-        let b = s.advance(&mut rng, 2, 10);
+        let b = s.advance(&mut rng, 2);
         assert_eq!(b, Stride { dx: 1, dy: 1, moves: 2, steps: 2, ended_on_origin: false });
         assert_eq!(b.apply(Point::new(2, 3)), Point::new(3, 4));
-        // Ends at max_steps.
-        let c = s.advance(&mut rng, 10, 2);
-        assert_eq!((c.moves, c.steps), (0, 2));
-        assert_eq!(s.advance(&mut rng, 10, 10).moves, 1);
+        // Steps that are not moves count as steps only.
+        let c = s.advance(&mut rng, 1);
+        assert_eq!((c.moves, c.steps, c.dy), (1, 3, 1));
     }
 }

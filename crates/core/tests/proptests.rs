@@ -41,15 +41,14 @@ proptest! {
 
     /// `advance` is exactly repeated `step`: same end position, moves,
     /// steps, RNG state and strategy state, stopping at the
-    /// `max_moves`-th move, right after an `Origin`, at `max_steps`, or
-    /// when the strategy halts.
+    /// `max_moves`-th move, right after an `Origin`, or when the strategy
+    /// halts.
     #[test]
     fn advance_is_repeated_step(
         d in 2u64..100,
         ell in 1u32..4,
         n in 1u64..32,
         max_moves in 1u64..40,
-        max_steps in 1u64..200,
         seed in any::<u64>(),
     ) {
         for (mut a, mut b) in stride_strategies(d, ell, n)
@@ -61,10 +60,10 @@ proptest! {
             let start = Point::new(5, -3);
             let (mut pa, mut pb) = (start, start);
             for _ in 0..16 {
-                let stride = a.advance(&mut ra, max_moves, max_steps);
+                let stride = a.advance(&mut ra, max_moves);
                 pa = stride.apply(pa);
                 let (mut moves, mut steps, mut on_origin) = (0u64, 0u64, false);
-                while steps < max_steps && !b.is_halted() {
+                while !b.is_halted() {
                     let action = b.step(&mut rb);
                     steps += 1;
                     pb = apply_action(pb, action);
@@ -213,16 +212,16 @@ fn declared_ell_matches_composite_construction() {
 }
 
 /// A halted strategy's stride returns at once instead of spinning on
-/// `None` steps up to an unbounded step limit.
+/// `None` steps forever.
 #[test]
 fn advance_returns_on_a_halted_strategy() {
     let mut e = Expiring::new(Box::new(RandomWalk::new()), 3);
     let mut rng = derive_rng(4, 0);
-    let first = e.advance(&mut rng, u64::MAX, u64::MAX);
+    let first = e.advance(&mut rng, u64::MAX);
     assert_eq!(first.moves, 3, "the stride runs to the expiry");
     assert!(e.is_halted());
     let before = rng.clone();
-    let again = e.advance(&mut rng, u64::MAX, u64::MAX);
+    let again = e.advance(&mut rng, u64::MAX);
     assert_eq!((again.moves, again.steps), (0, 0));
     assert_eq!(rng, before, "a halted stride draws nothing");
 }

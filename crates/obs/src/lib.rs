@@ -70,9 +70,9 @@ pub enum Counter {
     PoolReduces,
     /// Agent steps simulated by the engine.
     EngineSteps,
-    /// Shared cap-hint reads (per-agent initial read + periodic polls).
+    /// Shared cap-hint reads (one per agent start).
     HintPolls,
-    /// Cap reductions taken from the hint (at agent start or mid-run).
+    /// Agent starts whose cap the hint lowered.
     HintClamps,
     /// Moves the hint cut off speculative agents, vs the unhinted local
     /// bound — a lower bound on steps saved (every move is >= 1 step).

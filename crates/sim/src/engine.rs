@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// the unhinted speculative stop; the reduced [`TrialResult`] is
 /// invariant. Under sequential execution in canonical chunk order (one
 /// worker), every slot is fully populated before its chunk runs and the
-/// chunked trial performs the serial engine's work almost exactly.
+/// chunked trial performs exactly the serial engine's work.
 #[derive(Debug)]
 pub struct CapHint {
     /// `slots[c]` = minimum find (in moves) published by chunks `< c`,
@@ -80,29 +80,17 @@ impl CapHint {
     }
 }
 
-/// How many steps a hinted agent runs between polls of the shared cap
-/// hint. Polls fall on stride boundaries: a hinted agent's strides end
-/// at every multiple of 64 steps, where it reads the hint (one relaxed
-/// atomic load) before starting the next. 64 steps keeps even that off
-/// the hot path while bounding post-publish overshoot to a rounding
-/// error.
-const HINT_POLL_MASK: u64 = 0x3F;
-
 /// One agent simulated under an explicit move cap.
 ///
 /// Pure in `(scenario, trial_seed, agent index, cap)`: the agent's RNG
 /// stream is derived directly from the trial seed and its index, so the
-/// run is identical no matter which chunk (or thread) executes it. A
-/// shared [`CapHint`] may lower `cap` mid-run; that only moves the stop
-/// point between the serial stop and the unhinted speculative stop, which
-/// the reduction treats identically. The same purity lets the reduction
-/// rewind a speculative agent by running it again at its serial cap.
+/// run is identical no matter which chunk (or thread) executes it. The
+/// same purity lets the reduction rewind a speculative agent by running
+/// it again at its serial cap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct AgentRun {
-    /// The cap this agent ran with (at least 1 at its start; a chunk
-    /// truncates when its local cap reaches zero). A mid-run hint records
-    /// the lowered cap — still never below the serial cap, and never
-    /// below the moves actually run.
+    /// The cap this agent ran with (at least 1; a chunk truncates when
+    /// its local cap reaches zero).
     cap: u64,
     /// Moves until the target, if found within `cap`.
     moves: Option<u64>,
@@ -111,10 +99,6 @@ struct AgentRun {
     /// Steps actually simulated (work instrumentation; timing-dependent
     /// under a live hint, never part of a [`TrialResult`]).
     work: u64,
-    /// Shared-hint reads performed during the run (telemetry only).
-    hint_polls: u64,
-    /// Mid-run cap reductions taken from the hint (telemetry only).
-    hint_clamps: u64,
     /// Running-max selection-complexity footprint at the agent's stop.
     chi: SelectionComplexity,
 }
@@ -125,49 +109,22 @@ struct AgentRun {
 /// This drives the shared stepping core one stride at a time
 /// ([`AgentStepper`] owns the transition semantics and the stride bounds
 /// that keep the target and ceiling checks exact; this loop adds the
-/// engine's cap policy). With a `hint`, strides also end at every
-/// [`HINT_POLL_MASK`] step boundary, where the cap is lowered toward
-/// finds published by earlier chunks — never below what the agent has
-/// already run, and never below the serial cap.
+/// engine's cap).
 fn run_agent(
     scenario: &Scenario,
     trial_seed: u64,
     target: Point,
     agent_idx: usize,
-    mut cap: u64,
-    hint: Option<(&CapHint, usize)>,
+    cap: u64,
 ) -> AgentRun {
     debug_assert!(cap > 0, "callers skip capped-out agents");
     let mut stepper = AgentStepper::for_scenario(scenario, trial_seed, Some(target), agent_idx);
     let mut found = false;
-    let mut hint_polls = 0u64;
-    let mut hint_clamps = 0u64;
     // The loop is bounded by moves, so a permanently halted strategy (a
     // mortal wrapper past its expiry never moves again) must break out
     // explicitly.
     while stepper.moves() < cap && !stepper.halted() {
-        let mut max_steps = u64::MAX;
-        if let Some((h, chunk_idx)) = hint {
-            let phase = stepper.steps() & HINT_POLL_MASK;
-            if phase == 0 {
-                hint_polls += 1;
-                let hinted = h.cap_for(chunk_idx);
-                if hinted < cap {
-                    // Lower toward the published find, but never below
-                    // the moves already simulated: the recorded stop must
-                    // be where the loop actually halted.
-                    cap = hinted.max(stepper.moves());
-                    hint_clamps += 1;
-                    if stepper.moves() == cap {
-                        // Clamped to the moves already run: one more
-                        // stride would overrun the recorded cap.
-                        break;
-                    }
-                }
-            }
-            max_steps = HINT_POLL_MASK + 1 - phase;
-        }
-        if stepper.stride(cap - stepper.moves(), max_steps) {
+        if stepper.stride(cap - stepper.moves()) {
             found = true;
             break;
         }
@@ -182,22 +139,22 @@ fn run_agent(
         moves: found.then(|| stepper.moves()),
         steps: found.then(|| stepper.steps()),
         work: stepper.steps(),
-        hint_polls,
-        hint_clamps,
         chi: stepper.chi(),
     }
 }
 
 /// Aggregated [`CapHint`] effectiveness counters for one chunk run —
-/// telemetry only, never part of a [`TrialResult`]. Poll and clamp
-/// counts are exact; `moves_saved` is a conservative lower bound on the
+/// telemetry only, never part of a [`TrialResult`]. The hint is read
+/// once per agent start, so poll and clamp counts are exact per-start
+/// counts; `moves_saved` is a conservative lower bound on the
 /// speculative work the hint cut off (each saved move is at least one
 /// saved step), timing-dependent under concurrent workers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HintStats {
-    /// Shared-hint reads (one per agent start plus periodic in-run polls).
+    /// Shared-hint reads: one per agent start (including the start that
+    /// finds a zero cap and truncates the chunk).
     pub polls: u64,
-    /// Cap reductions taken from the hint (at agent start or mid-run).
+    /// Agent starts whose cap the hint lowered below the chunk-local one.
     pub clamps: u64,
     /// Moves the hint shaved off not-found speculative agents, relative
     /// to the unhinted chunk-local bound.
@@ -325,9 +282,9 @@ impl<'a> TrialPlan<'a> {
     /// Execute one chunk: simulate its agents in index order with
     /// chunk-local early caps (each agent capped one move below the best
     /// result found within this chunk), lowered toward the serial caps by
-    /// `hint` (finds published by earlier chunks — read before every
-    /// agent and polled during long runs) and publishing this chunk's own
-    /// finds for later chunks.
+    /// `hint` (finds published by earlier chunks, read once as each agent
+    /// starts; an agent's cap is then fixed for its whole run) and
+    /// publishing this chunk's own finds for later chunks.
     ///
     /// # Panics
     ///
@@ -347,9 +304,6 @@ impl<'a> TrialPlan<'a> {
         let mut best: Option<u64> = None;
         let mut agents = Vec::with_capacity(end - first_agent);
         let mut stats = HintStats::default();
-        // Mid-run polling is pointless for chunk 0 (its hinted cap is
-        // always u64::MAX), so only speculative chunks pay for it.
-        let poll = hint.filter(|_| chunk_idx > 0).map(|h| (h, chunk_idx));
         for agent_idx in first_agent..end {
             let local = match best {
                 // A later agent only matters if strictly faster.
@@ -375,9 +329,7 @@ impl<'a> TrialPlan<'a> {
                 // agent and never reads past the truncation.
                 break;
             }
-            let run = run_agent(self.scenario, self.trial_seed, target, agent_idx, cap, poll);
-            stats.polls += run.hint_polls;
-            stats.clamps += run.hint_clamps;
+            let run = run_agent(self.scenario, self.trial_seed, target, agent_idx, cap);
             if run.moves.is_none() && run.cap < local {
                 // The hint stopped a not-found speculative agent short of
                 // its unhinted chunk-local bound: every skipped move is
@@ -458,8 +410,7 @@ impl<'a> TrialPlan<'a> {
                         // target either and stops at the serial stop.
                         debug_assert!(run.cap > cap, "chunk cap below the serial cap");
                         let agent = chunk.first_agent + offset;
-                        let replay =
-                            run_agent(self.scenario, self.trial_seed, target, agent, cap, None);
+                        let replay = run_agent(self.scenario, self.trial_seed, target, agent, cap);
                         debug_assert!(replay.moves.is_none(), "a rewound agent found the target");
                         replayed += replay.work;
                         chi = chi.max(replay.chi);
@@ -485,9 +436,10 @@ impl<'a> TrialPlan<'a> {
     /// Run every chunk on the calling thread and reduce.
     ///
     /// Chunks share a [`CapHint`] and run in canonical order, so every
-    /// chunk sees the finds of all earlier ones and the plan performs the
-    /// serial engine's work (up to hint-poll granularity) at any chunk
-    /// size — the speculation tax only exists across concurrent workers.
+    /// chunk sees the finds of all earlier ones before its first agent
+    /// starts, every agent starts at its serial cap, and the plan performs
+    /// the serial engine's work at any chunk size — the speculation tax
+    /// only exists across concurrent workers.
     pub fn run(&self) -> TrialResult {
         let hint = self.hint();
         let chunks: Vec<ChunkRun> =
@@ -745,34 +697,17 @@ mod tests {
 
     /// The per-step loop the strided [`run_agent`] replaced, kept as the
     /// reference it must reproduce: one [`AgentStepper::step`] per
-    /// iteration and a hint poll before every step whose count is a
-    /// multiple of 64. It carries the post-clamp stop of
-    /// `hint_clamp_to_moves_run_does_no_more_work`.
+    /// iteration.
     fn run_agent_stepwise(
         scenario: &Scenario,
         trial_seed: u64,
         target: Point,
         agent_idx: usize,
-        mut cap: u64,
-        hint: Option<(&CapHint, usize)>,
+        cap: u64,
     ) -> AgentRun {
         let mut stepper = AgentStepper::for_scenario(scenario, trial_seed, Some(target), agent_idx);
         let mut found = false;
-        let (mut hint_polls, mut hint_clamps) = (0u64, 0u64);
         while stepper.moves() < cap && !stepper.halted() {
-            if let Some((h, chunk_idx)) = hint {
-                if stepper.steps() & HINT_POLL_MASK == 0 {
-                    hint_polls += 1;
-                    let hinted = h.cap_for(chunk_idx);
-                    if hinted < cap {
-                        cap = hinted.max(stepper.moves());
-                        hint_clamps += 1;
-                        if stepper.moves() == cap {
-                            break;
-                        }
-                    }
-                }
-            }
             let out = stepper.step();
             if out.found {
                 found = true;
@@ -784,8 +719,6 @@ mod tests {
             moves: found.then(|| stepper.moves()),
             steps: found.then(|| stepper.steps()),
             work: stepper.steps(),
-            hint_polls,
-            hint_clamps,
             chi: stepper.chi(),
         }
     }
@@ -872,26 +805,17 @@ mod tests {
                 for seed in 0..2u64 {
                     let target = place_target(&s, seed);
                     for agent in 0..s.n_agents() {
-                        for cap in [1, BUDGET] {
-                            // A hint pre-published by chunk 0 clamps
-                            // chunk 1's agent at its first poll.
-                            for published in [None, Some(40u64)] {
-                                let hint = published.map(|m| {
-                                    let h = CapHint::new(2);
-                                    h.publish(0, m);
-                                    h
-                                });
-                                let poll = hint.as_ref().map(|h| (h, 1));
-                                let strided = run_agent(&s, seed, target, agent, cap, poll);
-                                let stepwise =
-                                    run_agent_stepwise(&s, seed, target, agent, cap, poll);
-                                let case = format!(
-                                    "{name} {placement:?} ceiling {ceiling:?} seed {seed} \
-                                     agent {agent} cap {cap} hint {published:?}"
-                                );
-                                assert_eq!(strided, stepwise, "{case}");
-                                runs += 1;
-                            }
+                        // 40 is where a find of 41 moves published by
+                        // an earlier chunk caps an agent.
+                        for cap in [1, 40, BUDGET] {
+                            let strided = run_agent(&s, seed, target, agent, cap);
+                            let stepwise = run_agent_stepwise(&s, seed, target, agent, cap);
+                            let case = format!(
+                                "{name} {placement:?} ceiling {ceiling:?} seed {seed} \
+                                 agent {agent} cap {cap}"
+                            );
+                            assert_eq!(strided, stepwise, "{case}");
+                            runs += 1;
                         }
                     }
                 }
@@ -970,16 +894,40 @@ mod tests {
     }
 
     #[test]
-    fn hint_clamp_to_moves_run_does_no_more_work() {
-        // Chunk 0 already published a one-move find, so chunk 1's first
-        // poll clamps its agent to the zero moves it has run: the agent
-        // must stop there, not take one more step past its recorded cap.
-        let s = spiral_scenario(5, 2);
-        let target = place_target(&s, 1);
-        let hint = CapHint::new(2);
-        hint.publish(0, 1);
-        let run = run_agent(&s, 1, target, 1, s.move_budget(), Some((&hint, 1)));
-        assert_eq!((run.cap, run.moves, run.work), (0, None, 0));
-        assert_eq!((run.hint_polls, run.hint_clamps), (1, 1));
+    fn hinted_agents_keep_the_cap_they_start_with() {
+        let (mut clamped, mut broke) = (0u32, 0u32);
+        let near = TargetPlacement::Fixed(Point::new(1, 0));
+        for placement in [near, TargetPlacement::UniformInBall { distance: 4 }] {
+            let s = Scenario::builder()
+                .agents(8)
+                .target(placement)
+                .move_budget(400)
+                .strategy(|_| Box::new(RandomWalk::new()))
+                .build();
+            for seed in 0..20u64 {
+                let plan = TrialPlan::new(&s, seed, 4);
+                let hint = plan.hint();
+                let _ = plan.run_chunk_hinted(0, &hint);
+                let hinted = hint.cap_for(1);
+                let chunk = plan.run_chunk_hinted(1, &hint);
+                let mut best: Option<u64> = None;
+                for run in &chunk.agents {
+                    let local = best.map_or(s.move_budget(), |m| m - 1);
+                    assert_eq!(run.cap, local.min(hinted), "seed {seed}");
+                    clamped += u32::from(hinted < local);
+                    if let Some(m) = run.moves {
+                        best = Some(m);
+                    }
+                }
+                let truncated = chunk.len() < 4;
+                broke += u32::from(truncated);
+                assert_eq!(
+                    chunk.hint_stats().polls,
+                    chunk.len() as u64 + u64::from(truncated),
+                    "seed {seed}: one read per agent start"
+                );
+            }
+        }
+        assert!(clamped > 0 && broke > 0, "{clamped} clamped starts, {broke} truncated chunks");
     }
 }

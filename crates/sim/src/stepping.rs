@@ -28,8 +28,8 @@
 //! (steps 4–5 above), so the transition semantics live in one place.
 //!
 //! A stride ends after the first of: the `k`-th move, an `Origin`
-//! action, the caller's step bound, or the strategy halting (polled
-//! before every step, exactly as a per-step loop polls it), where
+//! action, or the strategy halting (polled before every step, exactly as
+//! a per-step loop polls it), where
 //!
 //! `k = min(caller's move bound, L1 distance to the target,
 //! ceiling − moves in the current guess)`.
@@ -171,13 +171,13 @@ impl AgentStepper {
     }
 
     /// Advance one stride (see the module docs): the transitions of at
-    /// most `max_moves` moves and `max_steps` steps, further cut short so
-    /// that only the stride's last move can reach the target or trip the
-    /// guess ceiling. Returns whether the agent ended on the target.
+    /// most `max_moves` moves, further cut short so that only the
+    /// stride's last move can reach the target or trip the guess ceiling.
+    /// Returns whether the agent ended on the target.
     ///
-    /// Both bounds must be at least 1, and the agent must not be standing
+    /// `max_moves` must be at least 1, and the agent must not be standing
     /// on the target.
-    pub fn stride(&mut self, max_moves: u64, max_steps: u64) -> bool {
+    pub fn stride(&mut self, max_moves: u64) -> bool {
         let mut k = max_moves;
         if let Some(target) = self.target {
             k = k.min(self.pos.dist_l1(&target));
@@ -185,7 +185,7 @@ impl AgentStepper {
         if let Some(ceiling) = self.ceiling {
             k = k.min(ceiling - self.guess_moves);
         }
-        let s = self.strategy.advance(&mut self.rng, k, max_steps);
+        let s = self.strategy.advance(&mut self.rng, k);
         self.steps += s.steps;
         self.moves += s.moves;
         self.guess_moves = if s.ended_on_origin { 0 } else { self.guess_moves + s.moves };
