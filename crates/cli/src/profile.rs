@@ -148,8 +148,8 @@ fn print_profile(flags: &Flags, cells: &[(String, f64)], snap: &Snapshot) {
         }
         let first = &snap.plans[0];
         println!(
-            "plan decisions (agent split iff weight >= {} and sweep_trials < {}*threads):\n\n{t}",
-            first.split_weight, first.saturation
+            "plan decisions (agent split iff agents > chunk and sweep_trials < {}*threads):\n\n{t}",
+            first.saturation
         );
     }
 }

@@ -25,11 +25,12 @@ pub const SNAPSHOT_SCHEMA: &str = "ants-telemetry/v1";
 pub struct PlanDecision {
     /// Job index within the sweep.
     pub job: u64,
-    /// Chosen granularity: `serial`, `trial`, or `agent`.
+    /// Chosen granularity: `trial` or `agent`.
     pub granularity: String,
     /// Agents in the job's scenario.
     pub agents: u64,
-    /// The per-trial work proxy (agents × budget or agents × rounds).
+    /// The per-trial work proxy (agents × budget or agents × rounds),
+    /// recorded for profiles; the heuristic does not read it.
     pub weight: u64,
     /// Total trial units in the whole sweep (the pool is shared).
     pub sweep_trials: u64,
@@ -37,7 +38,8 @@ pub struct PlanDecision {
     pub threads: u64,
     /// Agents per chunk the plan would use.
     pub chunk: u64,
-    /// The split-weight threshold the heuristic compared against.
+    /// A per-trial weight floor for splitting. Always 0 now (no floor);
+    /// kept so the `ants-telemetry/v1` `plans` line is unchanged.
     pub split_weight: u64,
     /// The pool-saturation threshold the heuristic compared against.
     pub saturation: u64,

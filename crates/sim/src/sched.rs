@@ -130,14 +130,6 @@ impl Granularity {
 /// Default agents per chunk for agent-level scheduling.
 pub const DEFAULT_AGENT_CHUNK: usize = 8;
 
-/// Per-trial work proxy (agents × move budget) below which a trial is
-/// never worth splitting: the per-chunk scheduling overhead would rival
-/// the simulation itself. With the shared [`CapHint`] bounding the
-/// speculation tax, this floor only guards against scheduling overhead,
-/// not redundant work, so it sits far lower than it did when speculative
-/// chunks could redo `n_chunks ×` the serial work.
-const AGENT_SPLIT_WEIGHT: u64 = 1 << 12;
-
 /// Auto-granularity splits a job into agent chunks whenever the sweep's
 /// trial units alone cannot keep every worker this many units deep.
 /// Below that, stragglers (one heavy trial outliving its siblings)
@@ -157,31 +149,25 @@ pub enum Scheduler {
 }
 
 impl Scheduler {
-    /// Pick a scheduler for one job of `agents` agents whose trials cost
-    /// about `weight` each (agents × move budget for a [`SweepJob`],
-    /// agents × rounds for an [`ObservedJob`], whose agents always run
-    /// the full horizon), under `opts` with `threads` workers, inside a
-    /// sweep holding `sweep_trials` trials in total.
+    /// Pick a scheduler for one job of `agents` agents, under `opts` with
+    /// `threads` workers, inside a sweep holding `sweep_trials` trials in
+    /// total.
     ///
     /// A forced granularity (`--granularity trial|agent`) is honoured at
     /// *any* thread count — a single-worker agent-level run is how the
     /// speculation tests measure the hinted path's work deterministically.
     ///
-    /// Under `Auto` one worker runs trial-level. With more, the cost
-    /// heuristic weighs agents × moves against trials. The shared
-    /// [`CapHint`] bounds the speculation tax (speculative chunks stop
-    /// within a poll interval of the serial caps once earlier chunks
-    /// publish), so splitting is cheap and the policy is aggressive: a
-    /// job splits into agent chunks whenever the *whole sweep's* trials
-    /// cannot keep every worker `POOL_SATURATION` (4) units deep
+    /// Under `Auto` one worker runs trial-level. With more, the shared
+    /// [`CapHint`] bounds the speculation tax (an agent that starts after
+    /// an earlier chunk published a find is capped below it), so
+    /// splitting is cheap and the policy is aggressive: a job splits into
+    /// agent chunks whenever the *whole sweep's* trials cannot keep every
+    /// worker `POOL_SATURATION` (4) units deep
     /// (`sweep_trials < POOL_SATURATION × threads` — the pool is shared,
-    /// so sibling jobs' trials keep workers busy too), the job has more
-    /// agents than one chunk holds (so the split is real), and a trial is
-    /// heavy enough (`weight >= 2^12`) for the per-chunk overhead to
-    /// vanish.
+    /// so sibling jobs' trials keep workers busy too) and the job has
+    /// more agents than one chunk holds (so the split is real).
     pub fn plan(
         agents: usize,
-        weight: u64,
         opts: &SweepOptions,
         threads: usize,
         sweep_trials: u64,
@@ -193,8 +179,7 @@ impl Scheduler {
             Granularity::Auto
                 if threads > 1
                     && agents > chunk
-                    && sweep_trials < POOL_SATURATION * threads as u64
-                    && weight >= AGENT_SPLIT_WEIGHT =>
+                    && sweep_trials < POOL_SATURATION * threads as u64 =>
             {
                 Scheduler::AgentLevel { chunk }
             }
@@ -328,11 +313,11 @@ fn sweep_trials(jobs: &[(&Scenario, u64, u64)], opts: &SweepOptions) -> Vec<Outc
         .collect();
     let sweep = Sweep::plan(&shapes, opts);
     // One shared best-so-far cap hint per chunked trial: its chunks
-    // publish finds as they land and read finds from earlier chunks, so
-    // speculative work stops within a poll interval of the serial caps
-    // instead of running to the full budget. Purely a work saver —
-    // reductions stay byte-identical (see [`CapHint`]). A one-chunk trial
-    // runs at the serial caps and needs none.
+    // publish finds as they land and read finds from earlier chunks as
+    // each agent starts, so an agent that starts after an earlier find
+    // stops below it instead of running to the full budget. Purely a
+    // work saver — reductions stay byte-identical (see [`CapHint`]). A
+    // one-chunk trial runs at the serial caps and needs none.
     let hints: Vec<Option<CapHint>> =
         sweep.trials.iter().map(|r| (r.len() > 1).then(|| CapHint::new(r.len()))).collect();
     let trial_plan = |u: &Unit| TrialPlan::new(jobs[u.job].0, u.seed, sweep.chunks[u.job]);
@@ -409,7 +394,8 @@ fn resolve_threads(threads: Option<usize>) -> usize {
 /// What the planner and the unit layout need to know about one job.
 struct JobShape {
     agents: usize,
-    /// The per-trial work proxy: agents × (move budget or rounds).
+    /// The per-trial work proxy, agents × (move budget or rounds):
+    /// recorded in the job's [`PlanDecision`] for profiles.
     weight: u64,
     trials: u64,
     seed: u64,
@@ -471,7 +457,7 @@ struct Sweep {
 }
 
 impl Sweep {
-    /// Plan every job once — logging its [`PlanDecision`] with the weight
+    /// Plan every job once — logging its [`PlanDecision`] with the inputs
     /// and thresholds that drove it — and lay out the units.
     fn plan(jobs: &[JobShape], opts: &SweepOptions) -> Sweep {
         let tele = opts.telemetry;
@@ -482,7 +468,7 @@ impl Sweep {
             .iter()
             .enumerate()
             .map(|(i, j)| {
-                let plan = Scheduler::plan(j.agents, j.weight, opts, threads, sweep_trials);
+                let plan = Scheduler::plan(j.agents, opts, threads, sweep_trials);
                 if let Some(t) = tele {
                     let granularity = match plan {
                         Scheduler::TrialLevel => "trial",
@@ -496,7 +482,7 @@ impl Sweep {
                         sweep_trials,
                         threads: threads as u64,
                         chunk: opts.chunk.unwrap_or(DEFAULT_AGENT_CHUNK).max(1) as u64,
-                        split_weight: AGENT_SPLIT_WEIGHT,
+                        split_weight: 0,
                         saturation: POOL_SATURATION,
                     });
                 }
@@ -674,11 +660,9 @@ mod tests {
         SweepJob::new(spiral_scenario(d, n), trials, seed)
     }
 
-    /// [`Scheduler::plan`] for a [`SweepJob`] (weight = agents × budget).
+    /// [`Scheduler::plan`] for a [`SweepJob`].
     fn plan(job: &SweepJob, opts: &SweepOptions, threads: usize, sweep_trials: u64) -> Scheduler {
-        let agents = job.scenario.n_agents();
-        let weight = agents as u64 * job.scenario.move_budget();
-        Scheduler::plan(agents, weight, opts, threads, sweep_trials)
+        Scheduler::plan(job.scenario.n_agents(), opts, threads, sweep_trials)
     }
 
     #[test]
@@ -744,9 +728,11 @@ mod tests {
             plan(&job(4, 64, 15, 0), &opts, 4, 15),
             Scheduler::AgentLevel { chunk: DEFAULT_AGENT_CHUNK }
         );
-        // Too light a trial to split: the per-chunk scheduling overhead
-        // would rival the simulation itself.
-        assert_eq!(Scheduler::plan(64, 64 * 50, &opts, 4, 2), Scheduler::TrialLevel);
+        // No weight floor: a light trial with few sibling trials splits.
+        assert_eq!(
+            Scheduler::plan(64, &opts, 4, 2),
+            Scheduler::AgentLevel { chunk: DEFAULT_AGENT_CHUNK }
+        );
         // The pool is shared: a few-trial heavy job inside a sweep whose
         // siblings already provide plenty of trial units stays unsplit.
         assert_eq!(plan(&job(4, 64, 2, 0), &opts, 4, 100), Scheduler::TrialLevel);
