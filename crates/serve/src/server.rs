@@ -364,23 +364,21 @@ fn handle(stream: TcpStream, state: &State) {
         }
         Op::Gate => {
             state.telemetry.incr(0, Counter::ServeGate);
-            match submit(&mut out, state, &req) {
-                Ok(outcome) => gate(&mut out, state, &req, &outcome),
+            match submit(&mut out, state, &req).and_then(|outcome| gate(state, &req, &outcome)) {
+                Ok(line) => out.line(&line),
                 Err(e) => out.line(&error_event(&e)),
             }
         }
     }
 }
 
-/// What a finished submission hands the gate: where the current report
-/// lives and under which keys.
+/// What a finished submission hands the gate: the stored entry holding
+/// the current report, and the workload key that names it.
 struct SubmitOutcome {
-    /// Cache key of the current entry.
-    key: String,
+    /// The current (now stored) cache entry.
+    entry: Entry,
     /// Workload key (`<wkey>.json` is the report file name).
     wkey: String,
-    /// The current report document text.
-    report_json: String,
 }
 
 /// The `submit` flow: resolve the cache key, replay a hit or compute,
@@ -406,13 +404,12 @@ fn submit(out: &mut Responder, state: &State, req: &Request) -> Result<SubmitOut
     let entry = Entry::at(&state.opts.cache, &key);
     if entry.is_hit() {
         let body = entry.response()?;
-        let report_json = entry.report_text(&wkey)?;
         out.line(&status_event(&key, true));
         out.send(body.as_bytes());
         state.hits.fetch_add(1, Ordering::Relaxed);
         state.telemetry.incr(0, Counter::ServeHits);
         state.telemetry.record_latency(LatencyKind::Hit, t0.elapsed());
-        return Ok(SubmitOutcome { key, wkey, report_json });
+        return Ok(SubmitOutcome { entry, wkey });
     }
     // Announce the miss before queueing for the pool, so the client
     // knows it is waiting on compute rather than a slow replay.
@@ -425,12 +422,11 @@ fn submit(out: &mut Responder, state: &State, req: &Request) -> Result<SubmitOut
         // is truthful about this request's wait, and the body bytes are
         // the contract.
         let body = entry.response()?;
-        let report_json = entry.report_text(&wkey)?;
         out.send(body.as_bytes());
         state.hits.fetch_add(1, Ordering::Relaxed);
         state.telemetry.incr(0, Counter::ServeHits);
         state.telemetry.record_latency(LatencyKind::Hit, t0.elapsed());
-        return Ok(SubmitOutcome { key, wkey, report_json });
+        return Ok(SubmitOutcome { entry, wkey });
     }
     let exp = WorkloadExperiment::new(plan);
     let (report_json, body) =
@@ -440,7 +436,7 @@ fn submit(out: &mut Responder, state: &State, req: &Request) -> Result<SubmitOut
     state.misses.fetch_add(1, Ordering::Relaxed);
     state.telemetry.incr(0, Counter::ServeMisses);
     state.telemetry.record_latency(LatencyKind::Miss, t0.elapsed());
-    Ok(SubmitOutcome { key, wkey, report_json })
+    Ok(SubmitOutcome { entry, wkey })
 }
 
 /// Run a miss on the pool, streaming each cell's event as it lands.
@@ -489,23 +485,25 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// The `gate` tail: compare the current report against the newest other
-/// cache entry for the same workload and emit a `gate` event.
-fn gate(out: &mut Responder, state: &State, req: &Request, outcome: &SubmitOutcome) {
+/// The `gate` tail: compare the current report, read back from its
+/// stored entry, against the newest other cache entry for the same
+/// workload. Returns the `gate` event line; an unreadable current report
+/// is an error.
+fn gate(state: &State, req: &Request, outcome: &SubmitOutcome) -> Result<String, String> {
+    let current = outcome.entry.report_text(&outcome.wkey)?;
     let thresholds = req.thresholds.unwrap_or_default();
-    let line = match cache::latest_baseline(&state.opts.cache, &outcome.wkey, &outcome.key) {
+    let line = match cache::latest_baseline(&state.opts.cache, &outcome.wkey, &outcome.entry.key) {
         None => gate_event(None),
         Some(baseline) => {
             let compared = baseline.report_text(&outcome.wkey).and_then(|base_text| {
                 let base = ReportDoc::parse(&base_text).map_err(|e| format!("baseline: {e}"))?;
-                let cur = ReportDoc::parse(&outcome.report_json)
-                    .map_err(|e| format!("current report: {e}"))?;
+                let cur = ReportDoc::parse(&current).map_err(|e| format!("current report: {e}"))?;
                 gate_report(&base, &cur, &thresholds)
             });
             gate_event(Some((&baseline.key, compared.as_deref().map_err(String::as_str))))
         }
     };
-    out.line(&line);
+    Ok(line)
 }
 
 #[cfg(test)]

@@ -250,6 +250,30 @@ fn gate_passes_against_itself_and_fails_on_injected_drift() {
     assert_eq!(doc.get("pass"), Some(&Json::Bool(false)));
 }
 
+/// A hit replays `response.ndjson` alone: only `gate` reads the stored
+/// report, so deleting it leaves plain submissions hitting byte for byte
+/// while a gate on that entry answers with an `error` event.
+#[test]
+fn hits_replay_without_reading_the_stored_report() {
+    let d = Daemon::start("noreport");
+    let (status, body) = split(&d.send(&smoke_submit(MC_SPEC)));
+    let key = status.get("key").and_then(Json::as_str).unwrap().to_string();
+    std::fs::remove_file(d.cache.join(&key).join("serve-e2e.json")).expect("stored report");
+
+    let (status2, body2) = split(&d.send(&smoke_submit(MC_SPEC)));
+    assert_eq!(status2.get("cached"), Some(&Json::Bool(true)), "still a hit");
+    assert_eq!(body2, body, "the hit replays the stored body byte for byte");
+
+    let mut gate = smoke_submit(MC_SPEC);
+    gate.op = Op::Gate;
+    let lines = d.send(&gate);
+    let (status3, _) = split(&lines);
+    assert_eq!(status3.get("cached"), Some(&Json::Bool(true)));
+    let last = lines.last().unwrap();
+    assert_eq!(protocol::event_of(last).as_deref(), Some("error"), "{lines:?}");
+    assert!(last.contains("serve-e2e.json"), "{last}");
+}
+
 #[test]
 fn cache_entries_are_trend_snapshots() {
     let d = Daemon::start("layout");
