@@ -185,7 +185,9 @@ impl std::fmt::Display for DpMode {
 }
 
 /// Largest internal-state space the per-move collapse will solve
-/// exactly (dense Gaussian elimination is cubic in this).
+/// exactly. The collapse's sparse elimination costs time and memory in
+/// the transient system's nonzeros and fill-in, which reach the cubic
+/// dense cost only when a block's states all couple to each other.
 pub const MAX_SOLVE_STATES: usize = 1024;
 
 /// Largest dense occupancy table, in entries
