@@ -125,7 +125,7 @@ fn print_profile(flags: &Flags, cells: &[(String, f64)], snap: &Snapshot) {
         println!("pool balance ('stolen' = units run off their home worker):\n\n{t}");
     }
 
-    if !snap.plans.is_empty() {
+    if let Some((first, _)) = snap.plans.counts().next() {
         let mut t = Table::new(vec![
             "job",
             "granularity",
@@ -134,8 +134,9 @@ fn print_profile(flags: &Flags, cells: &[(String, f64)], snap: &Snapshot) {
             "sweep_trials",
             "threads",
             "chunk",
+            "count",
         ]);
-        for p in &snap.plans {
+        for (p, count) in snap.plans.counts() {
             t.row(vec![
                 p.job.to_string(),
                 p.granularity.clone(),
@@ -144,11 +145,12 @@ fn print_profile(flags: &Flags, cells: &[(String, f64)], snap: &Snapshot) {
                 p.sweep_trials.to_string(),
                 p.threads.to_string(),
                 p.chunk.to_string(),
+                count.to_string(),
             ]);
         }
-        let first = &snap.plans[0];
         println!(
-            "plan decisions (agent split iff agents > chunk and sweep_trials < {}*threads):\n\n{t}",
+            "plan decisions (agent split iff agents > chunk and sweep_trials < {}*threads; \
+             count = times planned):\n\n{t}",
             first.saturation
         );
     }

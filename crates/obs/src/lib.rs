@@ -34,7 +34,7 @@
 pub mod json;
 mod snapshot;
 
-pub use snapshot::{PlanDecision, Snapshot, SNAPSHOT_SCHEMA};
+pub use snapshot::{PlanDecision, PlanLog, Snapshot, SNAPSHOT_SCHEMA};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -231,7 +231,7 @@ struct Inner {
     hit_hist: [AtomicU64; HIST_BUCKETS],
     miss_hist: [AtomicU64; HIST_BUCKETS],
     gauges: [AtomicU64; Gauge::COUNT],
-    plans: Mutex<Vec<PlanDecision>>,
+    plans: Mutex<PlanLog>,
     epoch: Instant,
 }
 
@@ -265,7 +265,7 @@ impl Telemetry {
             hit_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             miss_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
-            plans: Mutex::new(Vec::new()),
+            plans: Mutex::new(PlanLog::default()),
             epoch: Instant::now(),
         };
         Telemetry { inner: Box::leak(Box::new(inner)) }
@@ -315,7 +315,8 @@ impl Telemetry {
         self.inner.gauges[gauge as usize].store(value, Ordering::Relaxed);
     }
 
-    /// Append one scheduling decision (cold path: once per job per sweep).
+    /// Record one scheduling decision (cold path: once per job per sweep).
+    /// Repeats of a decision only bump its count.
     pub fn record_plan(self, decision: PlanDecision) {
         self.inner.plans.lock().expect("plan log poisoned").push(decision);
     }
@@ -376,7 +377,6 @@ impl Telemetry {
             snap.gauges[g] = self.inner.gauges[g].load(Ordering::Relaxed);
         }
         snap.plans = self.inner.plans.lock().expect("plan log poisoned").clone();
-        snap.plans.sort();
         snap
     }
 }
@@ -504,7 +504,38 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.gauge(Gauge::CacheEntries), 3);
         assert_eq!(snap.plans.len(), 1);
-        assert_eq!(snap.plans[0].granularity, "trial");
+        assert_eq!(snap.plans.iter().next().unwrap().granularity, "trial");
+    }
+
+    #[test]
+    fn repeated_plans_are_counted_not_appended() {
+        let t = Telemetry::new();
+        let decision = |job| PlanDecision {
+            job,
+            granularity: "agent".to_string(),
+            agents: 64,
+            weight: 1 << 20,
+            sweep_trials: 4,
+            threads: 2,
+            chunk: 8,
+            split_weight: 0,
+            saturation: 4,
+        };
+        for _ in 0..1000 {
+            t.record_plan(decision(0));
+        }
+        t.record_plan(decision(1));
+        let snap = t.snapshot();
+        assert_eq!(snap.plans.len(), 1001, "len counts repeats");
+        let counts: Vec<(u64, u64)> = snap.plans.counts().map(|(d, n)| (d.job, n)).collect();
+        assert_eq!(counts, vec![(0, 1000), (1, 1)], "one entry per distinct decision");
+        assert_eq!(snap.plans.iter().filter(|d| d.job == 0).count(), 1000);
+        let text = snap.to_ndjson();
+        let plans_line = text.lines().find(|l| l.contains("\"subsystem\":\"plans\"")).unwrap();
+        assert_eq!(plans_line.matches("\"job\"").count(), 2, "{plans_line}");
+        assert!(plans_line.contains("\"count\":1000"), "{plans_line}");
+        assert_eq!(plans_line.matches("\"count\"").count(), 1, "count only on repeats");
+        assert_eq!(Snapshot::parse_ndjson(&text).unwrap(), snap);
     }
 
     #[test]

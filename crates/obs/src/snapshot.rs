@@ -13,6 +13,7 @@
 
 use crate::json::Json;
 use crate::{Counter, Gauge, Phase, HIST_BUCKETS};
+use std::collections::BTreeMap;
 
 /// Schema tag stamped on every NDJSON snapshot line.
 pub const SNAPSHOT_SCHEMA: &str = "ants-telemetry/v1";
@@ -46,8 +47,9 @@ pub struct PlanDecision {
 }
 
 impl PlanDecision {
-    fn to_json(&self) -> Json {
-        Json::obj([
+    /// The decision's wire object; `"count"` appears only for repeats.
+    fn to_json(&self, count: u64) -> Json {
+        let mut fields: Vec<(&str, Json)> = vec![
             ("job", self.job.into()),
             ("granularity", self.granularity.as_str().into()),
             ("agents", self.agents.into()),
@@ -57,14 +59,24 @@ impl PlanDecision {
             ("chunk", self.chunk.into()),
             ("split_weight", self.split_weight.into()),
             ("saturation", self.saturation.into()),
-        ])
+        ];
+        if count > 1 {
+            fields.push(("count", count.into()));
+        }
+        Json::obj(fields)
     }
 
-    fn from_json(v: &Json) -> Result<PlanDecision, String> {
+    /// Parse one wire object into the decision and its count (a missing
+    /// count reads as 1).
+    fn from_json(v: &Json) -> Result<(PlanDecision, u64), String> {
         let field = |k: &str| {
             v.get(k).and_then(Json::as_u64).ok_or_else(|| format!("plan decision missing '{k}'"))
         };
-        Ok(PlanDecision {
+        let count = match v.get("count") {
+            None => 1,
+            Some(c) => c.as_u64().ok_or("plan decision 'count' is not an integer")?,
+        };
+        let decision = PlanDecision {
             job: field("job")?,
             granularity: v
                 .get("granularity")
@@ -78,7 +90,64 @@ impl PlanDecision {
             chunk: field("chunk")?,
             split_weight: field("split_weight")?,
             saturation: field("saturation")?,
-        })
+        };
+        Ok((decision, count))
+    }
+}
+
+/// The plan-decision log as a counted multiset: each distinct decision
+/// once, with how many times it was recorded. A daemon re-plans the same
+/// jobs on every submission, so the log's size follows the distinct
+/// decisions, not the uptime.
+///
+/// [`PlanLog::len`], [`PlanLog::is_empty`] and [`PlanLog::iter`] count
+/// repeats, so consumers see the multiset they would see in a flat list.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PlanLog(BTreeMap<PlanDecision, u64>);
+
+impl PlanLog {
+    /// Record `decision` once.
+    pub fn push(&mut self, decision: PlanDecision) {
+        self.add(decision, 1);
+    }
+
+    /// Record `decision` `count` times (saturating).
+    pub fn add(&mut self, decision: PlanDecision, count: u64) {
+        if count > 0 {
+            let n = self.0.entry(decision).or_insert(0);
+            *n = n.saturating_add(count);
+        }
+    }
+
+    /// Recorded decisions, repeats counted.
+    pub fn len(&self) -> usize {
+        self.0.values().fold(0usize, |n, &c| n.saturating_add(c as usize))
+    }
+
+    /// No decision recorded.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Every recorded decision in sorted order, each repeated as often as
+    /// it was recorded.
+    pub fn iter(&self) -> impl Iterator<Item = &PlanDecision> {
+        self.0.iter().flat_map(|(d, &n)| std::iter::repeat_n(d, n as usize))
+    }
+
+    /// Each distinct decision once, in sorted order, with its count.
+    pub fn counts(&self) -> impl Iterator<Item = (&PlanDecision, u64)> {
+        self.0.iter().map(|(d, &n)| (d, n))
+    }
+
+    /// The multiset union: counts add (saturating).
+    #[must_use]
+    pub fn merge(&self, other: &PlanLog) -> PlanLog {
+        let mut out = self.clone();
+        for (d, n) in other.counts() {
+            out.add(d.clone(), n);
+        }
+        out
     }
 }
 
@@ -111,8 +180,8 @@ pub struct Snapshot {
     pub miss_latency: [u64; HIST_BUCKETS],
     /// Last-set gauge values, indexed by [`Gauge`] discriminant.
     pub gauges: [u64; Gauge::COUNT],
-    /// Every recorded scheduling decision.
-    pub plans: Vec<PlanDecision>,
+    /// Every recorded scheduling decision, as a counted multiset.
+    pub plans: PlanLog,
 }
 
 impl Default for Snapshot {
@@ -130,7 +199,7 @@ impl Default for Snapshot {
             hit_latency: [0; HIST_BUCKETS],
             miss_latency: [0; HIST_BUCKETS],
             gauges: [0; Gauge::COUNT],
-            plans: Vec::new(),
+            plans: PlanLog::default(),
         }
     }
 }
@@ -161,7 +230,7 @@ impl Snapshot {
 
     /// Combine two snapshots: counters, spans, per-worker vectors, and
     /// histograms add (saturating); gauges and uptime take the max (they
-    /// are levels, not flows); plan logs union as a sorted multiset.
+    /// are levels, not flows); plan logs union as multisets (counts add).
     ///
     /// The operation is commutative and associative (pinned by the obs
     /// proptest battery), so aggregation order never matters.
@@ -188,8 +257,7 @@ impl Snapshot {
         for i in 0..Gauge::COUNT {
             out.gauges[i] = self.gauges[i].max(other.gauges[i]);
         }
-        out.plans = self.plans.iter().chain(&other.plans).cloned().collect();
-        out.plans.sort();
+        out.plans = self.plans.merge(&other.plans);
         out
     }
 
@@ -246,7 +314,7 @@ impl Snapshot {
             ("memo_hits", c(Counter::DpMemoHits)),
             ("memo_misses", c(Counter::DpMemoMisses)),
         ]);
-        let decisions = Json::Arr(self.plans.iter().map(PlanDecision::to_json).collect());
+        let decisions = Json::Arr(self.plans.counts().map(|(d, n)| d.to_json(n)).collect());
         let plans = fields(vec![("decisions", decisions)]);
         [
             ("pool", pool),
@@ -390,7 +458,11 @@ impl Snapshot {
             .get("decisions")
             .and_then(Json::as_array)
             .ok_or("plans line missing 'decisions'")?;
-        self.plans = items.iter().map(PlanDecision::from_json).collect::<Result<_, _>>()?;
+        self.plans = PlanLog::default();
+        for item in items {
+            let (decision, count) = PlanDecision::from_json(item)?;
+            self.plans.add(decision, count);
+        }
         Ok(())
     }
 }
@@ -534,6 +606,27 @@ mod tests {
         assert_eq!(parsed, s);
         let doc = Json::parse(&s.to_inline_json()).unwrap();
         assert_eq!(doc.get("dp").and_then(|d| d.get("memo_hits")).and_then(Json::as_u64), Some(5));
+    }
+
+    #[test]
+    fn plan_counts_round_trip_and_old_flat_logs_still_parse() {
+        let mut s = sample();
+        let first = s.plans.iter().next().unwrap().clone();
+        s.plans.add(first.clone(), 2);
+        let text = s.to_ndjson();
+        assert!(text.contains(r#""saturation":4,"count":3}"#), "{text}");
+        assert_eq!(Snapshot::parse_ndjson(&text).unwrap(), s);
+        // A file written before plan counts: the repeats are listed one
+        // by one, without a count. Each reads as 1 and they add up.
+        let flat = PINNED_NDJSON.replace(
+            r#""saturation":4}]}"#,
+            r#""saturation":4},{"job":0,"granularity":"agent","agents":64,"weight":1048576,"sweep_trials":4,"threads":4,"chunk":8,"split_weight":4096,"saturation":4}]}"#,
+        );
+        let parsed = Snapshot::parse_ndjson(&flat).unwrap();
+        assert_eq!(parsed.plans.counts().map(|(_, n)| n).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(parsed.plans.len(), 2);
+        let bad = PINNED_NDJSON.replace(r#""saturation":4}"#, r#""saturation":4,"count":"x"}"#);
+        assert!(Snapshot::parse_ndjson(&bad).is_err());
     }
 
     #[test]

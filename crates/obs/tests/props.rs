@@ -1,12 +1,12 @@
 //! Property battery for the telemetry snapshot algebra.
 //!
 //! [`Snapshot::merge`] must be a commutative, associative fold with the
-//! empty snapshot as identity — that is what makes aggregation order
-//! (shards, runs, processes) irrelevant — and the NDJSON serialization
-//! must round-trip exactly, including full-range `u64` counters that a
-//! double would round.
+//! empty snapshot as identity, adding plan-decision counts — that is what
+//! makes aggregation order (shards, runs, processes) irrelevant — and the
+//! NDJSON serialization must round-trip exactly, including full-range
+//! `u64` counters that a double would round.
 
-use ants_obs::{Counter, Gauge, Phase, PlanDecision, Snapshot, HIST_BUCKETS};
+use ants_obs::{Counter, Gauge, Phase, PlanDecision, PlanLog, Snapshot, HIST_BUCKETS};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -46,15 +46,11 @@ fn snapshot_strategy() -> impl Strategy<Value = Snapshot> {
             vec(0u64..1 << 30, 0..HIST_BUCKETS + 1),
             vec(0u64..1 << 30, 0..HIST_BUCKETS + 1),
             vec(0u64..=u64::MAX, Gauge::COUNT),
-            vec(plan_strategy(), 0..4),
+            vec((plan_strategy(), 1u64..4), 0..4),
         ),
     )
         .prop_map(
-            |(
-                (uptime, counters, wu, ws, wp),
-                (wb, wi, pns, pcount),
-                (hh, mh, gauges, mut plans),
-            )| {
+            |((uptime, counters, wu, ws, wp), (wb, wi, pns, pcount), (hh, mh, gauges, plans))| {
                 let mut s = Snapshot { uptime_ns: uptime, ..Snapshot::default() };
                 s.counters.copy_from_slice(&counters);
                 s.worker_units = wu;
@@ -67,10 +63,10 @@ fn snapshot_strategy() -> impl Strategy<Value = Snapshot> {
                 s.hit_latency[..hh.len()].copy_from_slice(&hh);
                 s.miss_latency[..mh.len()].copy_from_slice(&mh);
                 s.gauges.copy_from_slice(&gauges);
-                // Canonical plan order: merge() sorts, so snapshots enter the
-                // algebra already canonical (the identity law needs this).
-                plans.sort();
-                s.plans = plans;
+                // Counted plan multisets, repeats included.
+                for (decision, count) in plans {
+                    s.plans.add(decision, count);
+                }
                 s
             },
         )
@@ -98,6 +94,16 @@ proptest! {
         let zero = Snapshot::default();
         prop_assert_eq!(a.merge(&zero), a.clone());
         prop_assert_eq!(zero.merge(&a), a);
+    }
+
+    #[test]
+    fn merge_adds_plan_counts(a in snapshot_strategy(), b in snapshot_strategy()) {
+        let m = a.merge(&b);
+        prop_assert_eq!(m.plans.len(), a.plans.len() + b.plans.len());
+        for (decision, n) in m.plans.counts() {
+            let count = |log: &PlanLog| log.counts().find(|&(d, _)| d == decision).map_or(0, |(_, n)| n);
+            prop_assert_eq!(n, count(&a.plans) + count(&b.plans));
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Long-life daemon tests: handler threads are reaped, request lines are
-//! bounded in size and time, crash leftovers are swept at bind, and one
-//! cache root has one daemon.
+//! bounded in size and time, the plan log in `stats` stays at the
+//! distinct decisions, crash leftovers are swept at bind, and one cache
+//! root has one daemon.
 
+use ants_bench::Effort;
 use ants_serve::protocol::{self, Op, Request};
 use ants_serve::server::{MAX_REQUEST_BYTES, REQUEST_TIMEOUT};
 use ants_serve::{request_lines, ServeOptions, Server};
@@ -95,6 +97,55 @@ fn sequential_requests_do_not_grow_the_address_space() {
     }
     let grown = maps_lines().saturating_sub(before);
     assert!(grown < 100, "2000 requests grew /proc/self/maps by {grown} lines");
+}
+
+/// Every miss re-plans the same job, and the `stats` reply carries the
+/// plan log. The log counts repeats instead of appending them, so after
+/// 2,000 requests (1,000 fresh-seed misses, each followed by a hit) the
+/// reply's `decisions` array still holds the distinct decisions only.
+#[test]
+fn repeated_misses_count_plan_decisions_instead_of_appending_them() {
+    const SPEC: &str = "\
+name = \"plans\"
+[defaults]
+trials = 2
+smoke_trials = 2
+[[cells]]
+name = \"one\"
+agents = 2
+target = { model = \"ball\", dist = 3 }
+population = [{ strategy = \"randomwalk\", weight = 1 }]
+";
+    let d = Daemon::start("plans");
+    let submit = |seed: u64, cached: bool| {
+        let mut req = Request::submit(SPEC);
+        req.effort = Effort::Smoke;
+        req.seed = seed;
+        let lines = request_lines(&d.addr, &req).expect("daemon reachable");
+        let status = Json::parse(&lines[0]).expect("status line");
+        assert_eq!(status.get("cached"), Some(&Json::Bool(cached)), "seed {seed}");
+    };
+    let decisions = |d: &Daemon| -> Vec<Json> {
+        let stats = d.stats();
+        let plans = stats.get("telemetry").and_then(|t| t.get("plans")).expect("plans block");
+        plans.get("decisions").and_then(Json::as_array).expect("decisions array").to_vec()
+    };
+    submit(0, false);
+    let distinct = decisions(&d).len();
+    assert!(distinct > 0, "a miss records its plan decisions");
+    let misses = 1000;
+    for seed in 1..misses {
+        submit(seed, false);
+        submit(0, true);
+        if seed % 250 == 0 {
+            assert_eq!(decisions(&d).len(), distinct, "the log grew after {seed} misses");
+        }
+    }
+    let after = decisions(&d);
+    assert_eq!(after.len(), distinct);
+    for decision in &after {
+        assert_eq!(decision.get("count").and_then(Json::as_u64), Some(misses), "{decision:?}");
+    }
 }
 
 #[test]

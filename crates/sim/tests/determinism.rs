@@ -260,7 +260,7 @@ fn one_worker_auto_sweep_counts_its_work() {
     assert_eq!(snap.counter(Counter::PoolReduces), 0);
     assert!(snap.counter(Counter::EngineSteps) > 0, "inline units must count their steps");
     assert_eq!(snap.plans.len(), 1, "each job is planned and logged once");
-    assert_eq!(snap.plans[0].granularity, "trial");
+    assert_eq!(snap.plans.iter().next().unwrap().granularity, "trial");
 }
 
 /// Regression for the forced-granularity bug: `--granularity agent` on a
