@@ -16,6 +16,11 @@ use crate::{Counter, Gauge, Phase, HIST_BUCKETS};
 use std::collections::BTreeMap;
 
 /// Schema tag stamped on every NDJSON snapshot line.
+///
+/// The tag stayed at `v1` when the `plans` line gained `"count"`: a
+/// current reader reads files written before counts (each listed
+/// decision counts once), but a reader built before counts ignores the
+/// field and undercounts repeated decisions in a current file.
 pub const SNAPSHOT_SCHEMA: &str = "ants-telemetry/v1";
 
 /// One scheduling decision, recorded when a sweep plans a job: the
@@ -74,7 +79,11 @@ impl PlanDecision {
         };
         let count = match v.get("count") {
             None => 1,
-            Some(c) => c.as_u64().ok_or("plan decision 'count' is not an integer")?,
+            Some(c) => match c.as_u64() {
+                Some(0) => return Err("plan decision 'count' is 0".into()),
+                Some(n) => n,
+                None => return Err("plan decision 'count' is not an integer".into()),
+            },
         };
         let decision = PlanDecision {
             job: field("job")?,
@@ -627,6 +636,11 @@ mod tests {
         assert_eq!(parsed.plans.len(), 2);
         let bad = PINNED_NDJSON.replace(r#""saturation":4}"#, r#""saturation":4,"count":"x"}"#);
         assert!(Snapshot::parse_ndjson(&bad).is_err());
+        // The writer never emits a count below 2; a zero would silently
+        // drop the decision, so it is rejected.
+        let zero = PINNED_NDJSON.replace(r#""saturation":4}"#, r#""saturation":4,"count":0}"#);
+        let e = Snapshot::parse_ndjson(&zero).unwrap_err();
+        assert!(e.contains("'count' is 0"), "{e}");
     }
 
     #[test]
