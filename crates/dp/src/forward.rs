@@ -10,9 +10,10 @@
 //!   of [`Exit`]s before the loop — per move for a collapsed kernel
 //!   (`absorb.rs`), per round for a raw kernel (`rounds.rs`);
 //! * the **storage** ([`Storage`]): the dense `(2B+1)²` box per state
-//!   ([`Dense`], `B` = horizon — no agent leaves it) or the sorted packed
-//!   frontier of live entries with its optional mirror fold
-//!   ([`crate::frontier::Frontier`]).
+//!   ([`Dense`], `B` = horizon — no agent leaves it), which visits and
+//!   clears only the reserved y-span of each `(state, x)` row, or the
+//!   sorted packed frontier of live entries with its optional mirror
+//!   fold ([`crate::frontier::Frontier`]).
 //!
 //! Three exact accounting channels keep the answer honest:
 //!
@@ -28,6 +29,8 @@
 //! exits in row order, then the state's resets — and both storages
 //! replay it, so an unfolded sparse solve is bit-identical to the dense
 //! one and every result is bit-identical across runs and thread counts.
+//! Entries a storage skips or visits as zeros change nothing: the loop
+//! returns on a zero before any floating-point operation.
 
 use crate::error::DpError;
 use crate::frontier::{invariant, mirror_for, Frontier, Mirror};
@@ -52,7 +55,8 @@ pub struct AbsorptionCurve {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FrontierStats {
     /// Most `(state, position)` entries held at once: the sparse
-    /// frontier's peak merged length, or the dense table's full size.
+    /// frontier's peak merged length, or the dense table's peak reserved
+    /// footprint (the summed widths of its row spans, zeros included).
     pub peak_entries: usize,
     /// Was a symmetry fold applied?
     pub folded: bool,
@@ -130,7 +134,9 @@ impl Row {
 }
 
 /// Occupancy storage for [`propagate`], used as two halves: the solve
-/// reads one step's entries from `cur` and deposits into `nxt`.
+/// reads one step's entries from `cur` and deposits into `nxt`. Each
+/// step costs the storage's occupied footprint, not the position box:
+/// the frontier's live entries, or the dense table's reserved spans.
 pub(crate) trait Storage: Sized {
     /// A handle on one state's entries.
     type Group: Copy;
@@ -144,17 +150,21 @@ pub(crate) trait Storage: Sized {
         label: &str,
         horizon: &str,
     ) -> Result<Self, DpError>;
-    /// Forget every entry (all lie within `radius`).
-    fn clear(&mut self, radius: i64);
-    /// Add `mass` at `(state, x, y)`.
+    /// Forget every entry.
+    fn clear(&mut self);
+    /// Announce that [`Storage::add`] may deposit at `(state, x, y)` for
+    /// any `y` in `lo..=hi`.
+    fn reserve(&mut self, state: usize, x: i64, lo: i64, hi: i64);
+    /// Add `mass` at `(state, x, y)`, a position already reserved.
     fn add(&mut self, state: usize, x: i64, y: i64, mass: f64);
     /// The next state group at or after `*cursor`, advancing past it.
     fn next_group(&self, cursor: &mut usize) -> Option<(usize, Self::Group)>;
-    /// Visit a group's `(x, y, mass)` entries, all within `radius`, in
-    /// row-major order.
-    fn visit(&self, group: Self::Group, radius: i64, f: impl FnMut(i64, i64, f64));
-    /// Make `nxt`'s deposits the new `cur`, returning the live entry
-    /// count; [`DpError::Guard`] past the storage's live-entry cap.
+    /// Visit a group's entries in row-major order, as runs
+    /// `(x, y0, masses)` holding the masses at `(x, y0)`, `(x, y0 + 1)`,
+    /// and so on. A run may hold zeros.
+    fn visit(&self, group: Self::Group, f: impl FnMut(i64, i64, &[f64]));
+    /// Make `nxt`'s deposits the new `cur`, returning its footprint in
+    /// entries; [`DpError::Guard`] past the storage's live-entry cap.
     fn settle(
         cur: &mut Self,
         nxt: &mut Self,
@@ -213,6 +223,7 @@ fn propagate<K: Clock + ?Sized, S: Storage>(
 ) -> Result<AbsorptionCurve, DpError> {
     let mut cur = S::open(rows.len(), span, fold, label, K::HORIZON)?;
     let mut nxt = S::open(rows.len(), span, fold, label, K::HORIZON)?;
+    cur.reserve(start, 0, 0, 0);
     cur.add(start, 0, 0, 1.0);
 
     let mut cdf = Vec::with_capacity(span as usize + 1);
@@ -220,8 +231,7 @@ fn propagate<K: Clock + ?Sized, S: Storage>(
     let mut tally = Tally::default();
     let mut peak = 1;
     for step in 1..=span as i64 {
-        // Entries after `step - 1` steps lie within that radius.
-        nxt.clear(step);
+        nxt.clear();
         let mut cursor = 0;
         while let Some((s, group)) = cur.next_group(&mut cursor) {
             let row = &rows[s];
@@ -229,18 +239,22 @@ fn propagate<K: Clock + ?Sized, S: Storage>(
                 continue;
             }
             let mut marginal = 0.0f64;
-            cur.visit(group, step - 1, |x, y, p| {
-                if p == 0.0 {
-                    return;
+            cur.visit(group, |x, y0, run| {
+                reserve_exits(&mut nxt, &row.each, x, y0, y0 + run.len() as i64 - 1);
+                for (y, &p) in (y0..).zip(run) {
+                    if p == 0.0 {
+                        continue;
+                    }
+                    if p < crate::PRUNE {
+                        tally.lost += p;
+                        continue;
+                    }
+                    marginal += p;
+                    tally.scatter(&row.each, x, y, p, target, &mut nxt);
                 }
-                if p < crate::PRUNE {
-                    tally.lost += p;
-                    return;
-                }
-                marginal += p;
-                tally.scatter(&row.each, x, y, p, target, &mut nxt);
             });
             if marginal > 0.0 {
+                reserve_exits(&mut nxt, &row.resets, 0, 0, 0);
                 tally.scatter(&row.resets, 0, 0, marginal, target, &mut nxt);
                 tally.lost += marginal * row.trunc;
             }
@@ -292,19 +306,49 @@ impl Tally {
     }
 }
 
-/// Dense `(state, position)` table over `|x|, |y| <= radius`.
+/// Reserve in `nxt` every position `exits` send mass to from the
+/// positions `(x, lo..=hi)`: each exit moves the whole run as one, so
+/// one reservation per exit covers every deposit the run makes.
+#[inline(always)]
+fn reserve_exits<S: Storage>(nxt: &mut S, exits: &[Exit], x: i64, lo: i64, hi: i64) {
+    for &e in exits {
+        if let (Some((nx, nlo)), Some((_, nhi))) = (e.land(x, lo), e.land(x, hi)) {
+            nxt.reserve(e.next, nx, nlo, nhi);
+        }
+    }
+}
+
+/// Dense `(state, position)` table over `|x|, |y| <= radius`, with the
+/// reserved y-span of every `(state, x)` row. `visit` and `clear` touch
+/// only the spans, so a step costs the reserved footprint plus one span
+/// check per row, however large the box.
 struct Dense {
     states: usize,
     radius: i64,
     width: usize,
     mass: Vec<f64>,
+    /// The half-open column range `[lo, hi)` of each `(state, x)` row
+    /// that `reserve` covered since the last `clear`; [`EMPTY`] when none.
+    spans: Vec<(u32, u32)>,
 }
 
+/// The span of a row nothing was reserved in: widening it by `min`/`max`
+/// yields exactly the reserved range.
+const EMPTY: (u32, u32) = (u32::MAX, 0);
+
 impl Dense {
+    /// The index of `(state, x)`'s row.
     #[inline]
-    fn idx(&self, state: usize, x: i64, y: i64) -> usize {
-        debug_assert!(x.abs() <= self.radius && y.abs() <= self.radius);
-        (state * self.width + (x + self.radius) as usize) * self.width + (y + self.radius) as usize
+    fn row(&self, state: usize, x: i64) -> usize {
+        debug_assert!(x.abs() <= self.radius);
+        state * self.width + (x + self.radius) as usize
+    }
+
+    /// The column of `y` within a row.
+    #[inline]
+    fn col(&self, y: i64) -> u32 {
+        debug_assert!(y.abs() <= self.radius);
+        (y + self.radius) as u32
     }
 }
 
@@ -337,23 +381,41 @@ impl Storage for Dense {
                     .into(),
             });
         };
+        // `entries` fits MAX_TABLE_ENTRIES, so columns fit a u32.
         let width = width as usize;
-        Ok(Dense { states, radius: span as i64, width, mass: vec![0.0; entries as usize] })
+        Ok(Dense {
+            states,
+            radius: span as i64,
+            width,
+            mass: vec![0.0; entries as usize],
+            spans: vec![EMPTY; states * width],
+        })
     }
 
-    fn clear(&mut self, r: i64) {
-        for s in 0..self.states {
-            for x in -r..=r {
-                let lo = self.idx(s, x, -r);
-                self.mass[lo..=lo + (2 * r) as usize].fill(0.0);
+    fn clear(&mut self) {
+        for (row, span) in self.spans.iter_mut().enumerate() {
+            if span.0 < span.1 {
+                let base = row * self.width;
+                self.mass[base + span.0 as usize..base + span.1 as usize].fill(0.0);
+                *span = EMPTY;
             }
         }
     }
 
     #[inline]
+    fn reserve(&mut self, state: usize, x: i64, lo: i64, hi: i64) {
+        let (lo, hi) = (self.col(lo), self.col(hi));
+        let row = self.row(state, x);
+        let span = &mut self.spans[row];
+        span.0 = span.0.min(lo);
+        span.1 = span.1.max(hi + 1);
+    }
+
+    #[inline]
     fn add(&mut self, state: usize, x: i64, y: i64, mass: f64) {
-        let i = self.idx(state, x, y);
-        self.mass[i] += mass;
+        let (row, col) = (self.row(state, x), self.col(y));
+        debug_assert!((self.spans[row].0..self.spans[row].1).contains(&col), "unreserved deposit");
+        self.mass[row * self.width + col as usize] += mass;
     }
 
     fn next_group(&self, cursor: &mut usize) -> Option<(usize, usize)> {
@@ -363,11 +425,16 @@ impl Storage for Dense {
     }
 
     #[inline]
-    fn visit(&self, s: usize, r: i64, mut f: impl FnMut(i64, i64, f64)) {
-        for x in -r..=r {
-            let lo = self.idx(s, x, -r);
-            for (y, &p) in (-r..).zip(&self.mass[lo..=lo + (2 * r) as usize]) {
-                f(x, y, p);
+    fn visit(&self, s: usize, mut f: impl FnMut(i64, i64, &[f64])) {
+        let rows = s * self.width..(s + 1) * self.width;
+        for ((row, &(lo, hi)), x) in rows.clone().zip(&self.spans[rows]).zip(-self.radius..) {
+            if lo < hi {
+                let base = row * self.width;
+                f(
+                    x,
+                    i64::from(lo) - self.radius,
+                    &self.mass[base + lo as usize..base + hi as usize],
+                );
             }
         }
     }
@@ -379,6 +446,6 @@ impl Storage for Dense {
         _at: std::fmt::Arguments<'_>,
     ) -> Result<usize, DpError> {
         std::mem::swap(cur, nxt);
-        Ok(cur.mass.len())
+        Ok(cur.spans.iter().map(|&(lo, hi)| hi.saturating_sub(lo) as usize).sum())
     }
 }

@@ -12,11 +12,13 @@
 //! cell are summed in exactly the order the dense table would have added
 //! them, so an unfolded sparse solve is bit-identical to the dense solve
 //! — same CDF bytes, same pruned mass, same summation order. The cost
-//! per step is `O(E log E)` in the number of scattered entries `E`,
-//! against the dense table's `O(states × (2B+1)²)` regardless of
-//! occupancy; kernels whose mass stays concentrated (mortal expiries,
-//! long budgets with far targets, drift automata) keep `E` orders of
-//! magnitude below the box.
+//! per step is `O(E log E)` in the number of scattered entries `E`.
+//! The dense table also pays only for what is occupied (its reserved
+//! row spans, plus one span check per `(state, x)` row), so on most
+//! cells the dense guard admits it is the faster of the two. The
+//! frontier's edge is that it allocates no `states × (2B+1)²` box, so
+//! kernels whose mass stays concentrated (mortal expiries, long budgets
+//! with far targets, drift automata) solve far past the dense guard.
 //!
 //! ## Symmetry folding
 //!
@@ -166,9 +168,13 @@ impl Storage for Frontier {
         Ok(Frontier { span: span as i64, fold, entries: Vec::new() })
     }
 
-    fn clear(&mut self, _radius: i64) {
+    fn clear(&mut self) {
         self.entries.clear();
     }
+
+    /// Every deposit becomes its own entry: nothing to reserve.
+    #[inline]
+    fn reserve(&mut self, _state: usize, _x: i64, _lo: i64, _hi: i64) {}
 
     #[inline]
     fn add(&mut self, state: usize, x: i64, y: i64, mass: f64) {
@@ -184,11 +190,11 @@ impl Storage for Frontier {
     }
 
     #[inline]
-    fn visit(&self, (start, end): (usize, usize), _radius: i64, mut f: impl FnMut(i64, i64, f64)) {
-        for &(key, p) in &self.entries[start..end] {
+    fn visit(&self, (start, end): (usize, usize), mut f: impl FnMut(i64, i64, &[f64])) {
+        for (key, p) in &self.entries[start..end] {
             let x = ((key >> 21) & 0x1f_ffff) as i64 - self.span;
             let y = (key & 0x1f_ffff) as i64 - self.span;
-            f(x, y, p);
+            f(x, y, std::slice::from_ref(p));
         }
     }
 
@@ -298,6 +304,20 @@ mod tests {
         for (m, (a, b)) in base.cdf.iter().zip(curve.cdf.iter()).enumerate() {
             assert!((a - b).abs() <= 1e-12, "move {m}: {a} vs {b}");
         }
+    }
+
+    #[test]
+    fn dense_peak_counts_the_reserved_footprint() {
+        // Only a few lifetime layers of the 13 states hold mass at any
+        // step, so the dense footprint stays far inside the 13 × 57² box,
+        // and it covers every entry the unfolded frontier holds.
+        let c = collapse(&mortal_kernel(&randomwalk_kernel(), 12).unwrap()).unwrap();
+        let target = Point::new(2, 1);
+        let peak = |mode| absorption_cdf_mode(&c, "mortal", target, 28, mode).unwrap().stats;
+        let (dense, sparse) = (peak(DpMode::Dense), peak(DpMode::Sparse));
+        assert!(!sparse.folded);
+        assert!(sparse.peak_entries <= dense.peak_entries, "{sparse:?} vs {dense:?}");
+        assert!(dense.peak_entries < 13 * 57 * 57, "{dense:?}");
     }
 
     #[test]

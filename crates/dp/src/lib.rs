@@ -115,7 +115,8 @@ impl std::fmt::Display for Backend {
 /// specs and `--dp-mode` on the CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DpMode {
-    /// Dense `(state, position)` tables over the full budget square —
+    /// Dense `(state, position)` tables over the full budget square,
+    /// each step visiting and clearing only the occupied row spans —
     /// fastest on small cells, refused past [`MAX_TABLE_ENTRIES`].
     Dense,
     /// Sparse frontier of occupied entries with symmetry folding — the
@@ -219,11 +220,13 @@ pub const MAX_FRONTIER_ENTRIES: usize = 1 << 23;
 /// can address (each offset coordinate gets 21 bits).
 pub const MAX_SPARSE_SPAN: u64 = (1 << 20) - 1;
 
-/// Auto-mode break-even, in predicted dense table entries: at or below
-/// this the dense table's branch-free inner loop wins; above it the
-/// sparse frontier's occupancy savings dominate. The dense and sparse
-/// solve times cross between the 10⁵-entry single-state cells and the
-/// 10⁶-entry multi-state cells of the bundled crosscheck grid. perfbench's
+/// Auto-mode break-even, in predicted dense table entries: dense at or
+/// below, sparse above. It was measured when a dense step cost the
+/// whole box, between the 10⁵-entry single-state cells and the
+/// 10⁶-entry multi-state cells of the bundled crosscheck grid. A dense
+/// step now costs its occupied row spans, so the true crossing likely
+/// lies higher; the line stays because moving it would move cells
+/// across the fold line and change report bytes. perfbench's
 /// `dp-exact` workload runs cells on both sides: `decide.dp_dense` and
 /// `decide.dp_sparse` count the choices made here, and
 /// `dp.solve_ms.dense` / `dp.solve_ms.sparse` time them.

@@ -15,6 +15,11 @@
 //! * **Memo byte-identity** — a cell evaluated through a warm
 //!   cross-cell curve cache renders the exact same [`DpCellReport`] as
 //!   a fresh solve, for both representations.
+//!
+//! The proptests draw their cases; [`unfolded_sparse_is_bit_identical_across_the_zoo`]
+//! runs a fixed grid of off-axis targets and horizons over every zoo
+//! kernel on both clocks, so dead states, `Jump` resets and `Lost`
+//! exits are exercised bit for bit on every run.
 
 use ants_automaton::library;
 use ants_dp::{
@@ -80,6 +85,37 @@ fn zoo_kernel(which: usize) -> TableKernel {
 }
 
 const ZOO_SIZE: usize = 14;
+
+#[test]
+fn unfolded_sparse_is_bit_identical_across_the_zoo() {
+    // No reflection fixes these targets, so the frontier never folds and
+    // must replay the dense summation order exactly.
+    let targets = [Point::new(2, 1), Point::new(-1, 3), Point::new(3, -2)];
+    for which in 0..ZOO_SIZE {
+        let k = zoo_kernel(which);
+        let c = collapse(&k).unwrap();
+        let label = k.label();
+        for target in targets {
+            assert!(!may_fold(target));
+            for span in [1, 2, 17, 33] {
+                let at = format!("kernel {label} target {target} span {span}");
+                let moves = |mode| absorption_cdf_mode(&c, label, target, span, mode).unwrap();
+                let (dense, sparse) = (moves(DpMode::Dense), moves(DpMode::Sparse));
+                assert!(!sparse.stats.folded, "{at}: folded");
+                assert_eq!(dense.lost.to_bits(), sparse.lost.to_bits(), "{at}: lost mass");
+                assert_parity(&format!("{at} moves"), &dense.cdf, &sparse.cdf, true);
+                let rounds =
+                    |mode| step_absorption_cdf_mode(&k, label, target, span, mode).unwrap();
+                let (dense, sparse) = (rounds(DpMode::Dense), rounds(DpMode::Sparse));
+                assert_parity(&format!("{at} rounds"), &dense, &sparse, true);
+                let survival =
+                    |mode| visit_survival_curve_mode(&k, label, target, span, mode).unwrap();
+                let (dense, sparse) = (survival(DpMode::Dense), survival(DpMode::Sparse));
+                assert_parity(&format!("{at} survival"), &dense, &sparse, true);
+            }
+        }
+    }
+}
 
 /// A plain map cache so the memo property exercises the same
 /// [`SolveCache`] seam production uses, without depending on the

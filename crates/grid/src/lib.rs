@@ -8,8 +8,8 @@
 //! * [`Point`] / [`Direction`] / [`Rect`] — coordinates, the four grid
 //!   moves, and axis-aligned regions, with the paper's max-norm metric
 //!   ([`Point::norm_max`]) as the primary distance;
-//! * [`VisitedSet`] and [`DenseGrid`] — sparse and dense occupancy tracking
-//!   used for coverage measurements in the lower-bound experiments;
+//! * [`DenseGrid`] — bounded visit-count grids used for coverage
+//!   measurements in the lower-bound experiments;
 //! * [`TargetPlacement`] — the target models used by the experiments
 //!   (fixed, adversarial corner, uniform in the `2D × 2D` square, ring);
 //! * [`oracle`] — the model's return-to-origin oracle: a shortest grid path
@@ -35,9 +35,7 @@ pub mod oracle;
 mod point;
 pub mod render;
 mod target;
-mod visited;
 
 pub use dense::DenseGrid;
 pub use point::{Direction, Point, Rect};
 pub use target::TargetPlacement;
-pub use visited::VisitedSet;

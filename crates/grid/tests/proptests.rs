@@ -1,6 +1,6 @@
 //! Property-based tests for the grid substrate.
 
-use ants_grid::{oracle, Direction, Point, Rect, TargetPlacement, VisitedSet};
+use ants_grid::{oracle, Direction, Point, Rect, TargetPlacement};
 use ants_rng::{SeedableRng64, Xoshiro256PlusPlus};
 use proptest::prelude::*;
 
@@ -66,15 +66,6 @@ proptest! {
                 prop_assert!(cross / len2.sqrt() < 1.0, "{q} strays from segment to {p}");
             }
         }
-    }
-
-    #[test]
-    fn visited_set_distinct_never_exceeds_total(pts in proptest::collection::vec(point(), 0..100)) {
-        let v: VisitedSet = pts.clone().into_iter().collect();
-        prop_assert!(v.distinct() as u64 <= v.total_visits());
-        prop_assert_eq!(v.total_visits(), pts.len() as u64);
-        let unique: std::collections::HashSet<_> = pts.iter().collect();
-        prop_assert_eq!(v.distinct(), unique.len());
     }
 
     #[test]
