@@ -13,17 +13,14 @@
 //! 4. the union of `≤ |S|` thin tubes covers only `o(D²)` cells, leaving
 //!    room for an adversarial target (Theorem 4.1).
 //!
-//! This crate makes each step executable:
+//! This crate makes steps 2 and 3 executable (step 1 is
+//! `ants_automaton::markov`'s class decomposition; step 4's joint
+//! coverage is measured by `ants_sim::coverage` in experiment E8):
 //!
-//! * [`chernoff`] — the appendix bounds as callable functions, plus
-//!   empirical validators;
 //! * [`drift`] — measure how far real trajectories deviate from the
 //!   predicted drift line (Corollary 4.10 as an experiment);
 //! * [`mixing`] — measured mixing curves against the Rosenthal envelope
 //!   (Corollary 4.6);
-//! * [`coverage`] — predict the covered tube from the chain analysis and
-//!   compare against measured joint coverage (Theorem 4.1 as an
-//!   experiment);
 //! * [`speedup`] — the speed-up ceilings the paper contrasts:
 //!   `min{n, D}` above the threshold, `min{log n, D}` for random walks,
 //!   `min{n, D^{o(1)}}` below the threshold.
@@ -31,8 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chernoff;
-pub mod coverage;
 pub mod drift;
 pub mod mixing;
 pub mod speedup;

@@ -16,7 +16,7 @@
 //!
 //! [`analyze`] computes all of these exactly (graph structure) or to
 //! numerical precision (distributions), and is consumed by
-//! `ants-analysis`' coverage predictor and by the E8/E13 experiments.
+//! `ants-analysis`' drift and mixing measurements (experiments E13/E15).
 
 use crate::action::GridAction;
 use crate::matrix;
@@ -70,11 +70,6 @@ impl ChainAnalysis {
     /// The recurrent class containing `s`, if any.
     pub fn class_of(&self, s: StateId) -> Option<&RecurrentClass> {
         self.recurrent_classes.iter().find(|c| c.states.contains(&s))
-    }
-
-    /// Is `s` transient?
-    pub fn is_transient(&self, s: StateId) -> bool {
-        self.transient.contains(&s)
     }
 }
 
@@ -308,18 +303,9 @@ pub fn rosenthal_bound(epsilon: f64, k: u64, k0: u64) -> f64 {
     (1.0 - epsilon).powi((k / k0) as i32)
 }
 
-/// The paper's recurrence-time scale `R₀ = p₀^{−2^b} · 2^b · c · log D`
-/// (Lemma 4.2): the number of rounds within which an always-reachable
-/// state is visited w.h.p.
-pub fn recurrence_time_bound(p0: f64, memory_bits: u32, c: f64, d: u64) -> f64 {
-    assert!(p0 > 0.0 && p0 <= 1.0);
-    let pow = 1u64 << memory_bits.min(40);
-    p0.powi(-(pow as i32)) * pow as f64 * c * (d.max(2) as f64).ln()
-}
-
-/// Convenience: the drift vector an agent started in `class` follows, as
-/// per-direction stationary probabilities `(p_up, p_down, p_left, p_right)`.
-pub fn direction_probabilities(pfa: &Pfa, class: &RecurrentClass) -> [f64; 4] {
+/// The per-direction stationary move probabilities
+/// `(p_up, p_down, p_left, p_right)` of `class`.
+fn direction_probabilities(pfa: &Pfa, class: &RecurrentClass) -> [f64; 4] {
     let mut probs = [0.0f64; 4];
     for (i, s) in class.states.iter().enumerate() {
         if let GridAction::Move(d) = pfa.label(*s) {
@@ -329,31 +315,10 @@ pub fn direction_probabilities(pfa: &Pfa, class: &RecurrentClass) -> [f64; 4] {
     probs
 }
 
-/// Expected displacement after `r` steps for an agent whose state is
-/// stationary in `class` — the straight line of Corollary 4.10.
-pub fn expected_position(class: &RecurrentClass, r: u64) -> (f64, f64) {
-    (class.drift.0 * r as f64, class.drift.1 * r as f64)
-}
-
 /// Sanity helper used in tests and examples: assert the four direction
 /// probabilities of a class sum to at most one.
 pub fn move_mass(pfa: &Pfa, class: &RecurrentClass) -> f64 {
     direction_probabilities(pfa, class).iter().sum()
-}
-
-/// `∞`-norm distance between two distributions — the paper's `‖π₁ − π₂‖`.
-pub fn linf_distance(a: &[f64], b: &[f64]) -> f64 {
-    matrix::linf_distance(a, b)
-}
-
-/// Total-variation distance `½ Σ |aᵢ − bᵢ|` between two distributions.
-pub fn tv_distance(a: &[f64], b: &[f64]) -> f64 {
-    matrix::tv_distance(a, b)
-}
-
-/// Evolve a distribution one step: `π ↦ π P`.
-pub fn evolve(pfa: &Pfa, dist: &[f64]) -> Vec<f64> {
-    matrix::vec_mat(dist, &pfa.transition_matrix())
 }
 
 #[cfg(test)]
@@ -386,8 +351,8 @@ mod tests {
         let total: usize =
             a.transient.len() + a.recurrent_classes.iter().map(|c| c.states.len()).sum::<usize>();
         assert_eq!(total, pfa.num_states());
-        assert!(a.is_transient(StateId(0)));
-        assert!(!a.is_transient(StateId(1)));
+        assert!(a.transient.contains(&StateId(0)));
+        assert!(!a.transient.contains(&StateId(1)));
     }
 
     #[test]
@@ -513,16 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn recurrence_time_grows_with_memory() {
-        let r2 = recurrence_time_bound(0.5, 2, 1.0, 1024);
-        let r4 = recurrence_time_bound(0.5, 4, 1.0, 1024);
-        assert!(r4 > r2);
-        // Lemma 4.2's scale: p0^{-2^b} * 2^b * c * log D.
-        let expect = 2f64.powi(4) * 4.0 * (1024f64).ln();
-        assert!((r2 - expect).abs() / expect < 1e-12);
-    }
-
-    #[test]
     fn distribution_after_sums_to_one() {
         let pfa = library::random_walk();
         for k in [0u64, 1, 5, 50] {
@@ -540,16 +495,5 @@ mod tests {
         let [up, down, left, right] = direction_probabilities(&pfa, c);
         assert!((c.drift.0 - (right - left)).abs() < 1e-12);
         assert!((c.drift.1 - (up - down)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expected_position_scales_linearly() {
-        let pfa = library::drift_walk(2).unwrap();
-        let a = analyze(&pfa);
-        let c = &a.recurrent_classes[0];
-        let (x1, y1) = expected_position(c, 100);
-        let (x2, y2) = expected_position(c, 200);
-        assert!((x2 - 2.0 * x1).abs() < 1e-9);
-        assert!((y2 - 2.0 * y1).abs() < 1e-9);
     }
 }

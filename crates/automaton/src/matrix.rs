@@ -39,21 +39,6 @@ pub(crate) fn mat_pow(m: &[Vec<f64>], mut e: u64) -> Vec<Vec<f64>> {
     result
 }
 
-/// Row vector times matrix.
-pub(crate) fn vec_mat(v: &[f64], m: &[Vec<f64>]) -> Vec<f64> {
-    let n = v.len();
-    let mut out = vec![0.0; n];
-    for (i, &vi) in v.iter().enumerate() {
-        if vi == 0.0 {
-            continue;
-        }
-        for j in 0..n {
-            out[j] += vi * m[i][j];
-        }
-    }
-    out
-}
-
 /// Solve the stationary equations `π P = π`, `Σ π = 1` for an irreducible
 /// row-stochastic matrix `P`, by Gaussian elimination with partial
 /// pivoting on the transposed system `(Pᵀ − I) πᵀ = 0` with the last
@@ -121,17 +106,6 @@ pub(crate) fn stationary_distribution(p: &[Vec<f64>]) -> Vec<f64> {
     x
 }
 
-/// Total-variation distance between two distributions (∞-norm in the
-/// paper's notation `‖π₁ − π₂‖`; we expose both).
-pub(crate) fn linf_distance(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
-}
-
-/// Total variation distance `½ Σ |aᵢ − bᵢ|`.
-pub(crate) fn tv_distance(a: &[f64], b: &[f64]) -> f64 {
-    0.5 * a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).sum::<f64>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,13 +127,6 @@ mod tests {
         assert_eq!(m3, m);
         let m0 = mat_pow(&m, 0);
         assert_eq!(m0, vec![vec![1.0, 0.0], vec![0.0, 1.0]]);
-    }
-
-    #[test]
-    fn vec_mat_multiplies() {
-        let m = vec![vec![0.5, 0.5], vec![0.25, 0.75]];
-        let v = vec![1.0, 0.0];
-        assert_eq!(vec_mat(&v, &m), vec![0.5, 0.5]);
     }
 
     #[test]
@@ -194,17 +161,10 @@ mod tests {
     fn stationary_is_fixed_point() {
         let p = vec![vec![0.1, 0.6, 0.3], vec![0.4, 0.2, 0.4], vec![0.25, 0.25, 0.5]];
         let pi = stationary_distribution(&p);
-        let pi2 = vec_mat(&pi, &p);
-        assert!(linf_distance(&pi, &pi2) < 1e-10);
+        for (j, &pi_j) in pi.iter().enumerate() {
+            let pi_p_j: f64 = pi.iter().zip(&p).map(|(x, row)| x * row[j]).sum();
+            assert!((pi_p_j - pi_j).abs() < 1e-10);
+        }
         assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn distances() {
-        let a = vec![0.5, 0.5];
-        let b = vec![0.9, 0.1];
-        assert!((linf_distance(&a, &b) - 0.4).abs() < 1e-12);
-        assert!((tv_distance(&a, &b) - 0.4).abs() < 1e-12);
-        assert_eq!(linf_distance(&a, &a), 0.0);
     }
 }

@@ -12,6 +12,7 @@
 use crate::experiments::{Effort, RunConfig};
 use crate::workload::WorkloadExperiment;
 use ants_dp::{Backend, DpMode};
+use ants_rng::stats::wilson_interval;
 use ants_sim::run_sweep_with;
 use ants_workload::WorkloadError;
 use std::fmt;
@@ -100,17 +101,6 @@ impl fmt::Display for CrosscheckReport {
     }
 }
 
-/// The Wilson score interval for `found` successes in `trials` draws.
-pub fn wilson_interval(found: f64, trials: u64, z: f64) -> (f64, f64) {
-    let n = trials as f64;
-    let p = found / n;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let center = (p + z2 / (2.0 * n)) / denom;
-    let half = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt() / denom;
-    ((center - half).max(0.0), (center + half).min(1.0))
-}
-
 /// Run the crosscheck: every cell the DP can evaluate — under the
 /// config's `--dp-mode` override if set, else the cell's own `dp_mode`
 /// — is sampled on the MC pool (the config's effort, seed, and
@@ -177,7 +167,7 @@ pub fn crosscheck(
             trials,
             mc_success,
             dp_success: dp.success,
-            interval: wilson_interval(s.found() as f64, trials, WILSON_Z),
+            interval: wilson_interval(s.found(), trials, WILSON_Z),
         });
     }
     // `--backend` does not influence the crosscheck (both engines always
@@ -198,15 +188,15 @@ mod tests {
 
     #[test]
     fn wilson_interval_shrinks_with_trials_and_brackets_the_estimate() {
-        let (lo_small, hi_small) = wilson_interval(5.0, 10, WILSON_Z);
-        let (lo_big, hi_big) = wilson_interval(500.0, 1000, WILSON_Z);
+        let (lo_small, hi_small) = wilson_interval(5, 10, WILSON_Z);
+        let (lo_big, hi_big) = wilson_interval(500, 1000, WILSON_Z);
         assert!(lo_small < 0.5 && hi_small > 0.5);
         assert!(lo_big < 0.5 && hi_big > 0.5);
         assert!(hi_big - lo_big < hi_small - lo_small, "more trials, tighter interval");
         // Degenerate estimates stay inside [0, 1].
-        let (lo, hi) = wilson_interval(0.0, 8, WILSON_Z);
+        let (lo, hi) = wilson_interval(0, 8, WILSON_Z);
         assert!(lo == 0.0 && hi < 1.0 && hi > 0.0);
-        let (lo, hi) = wilson_interval(8.0, 8, WILSON_Z);
+        let (lo, hi) = wilson_interval(8, 8, WILSON_Z);
         assert!(hi == 1.0 && lo > 0.0 && lo < 1.0);
     }
 

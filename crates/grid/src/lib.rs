@@ -12,9 +12,6 @@
 //!   measurements in the lower-bound experiments;
 //! * [`TargetPlacement`] — the target models used by the experiments
 //!   (fixed, adversarial corner, uniform in the `2D × 2D` square, ring);
-//! * [`oracle`] — the model's return-to-origin oracle: a shortest grid path
-//!   that hugs the straight segment back to the origin (Section 2 of the
-//!   paper);
 //! * [`render`] — ASCII heat-maps for the examples and for debugging.
 //!
 //! ## Example
@@ -31,7 +28,6 @@
 #![warn(missing_docs)]
 
 mod dense;
-pub mod oracle;
 mod point;
 pub mod render;
 mod target;

@@ -1,6 +1,6 @@
 //! Property-based tests for the grid substrate.
 
-use ants_grid::{oracle, Direction, Point, Rect, TargetPlacement};
+use ants_grid::{Direction, Point, Rect, TargetPlacement};
 use ants_rng::{SeedableRng64, Xoshiro256PlusPlus};
 use proptest::prelude::*;
 
@@ -39,33 +39,6 @@ proptest! {
         let q = p.step(d);
         prop_assert_eq!(p.dist_l1(&q), 1);
         prop_assert_eq!(q.step(d.opposite()), p);
-    }
-
-    #[test]
-    fn oracle_path_is_shortest_and_valid(p in point()) {
-        let path = oracle::return_path(p);
-        prop_assert_eq!(path.len() as u64, p.norm_l1());
-        let mut prev = p;
-        for &q in &path {
-            prop_assert!(prev.is_adjacent(&q));
-            prop_assert_eq!(q.norm_l1() + 1, prev.norm_l1());
-            prev = q;
-        }
-        if p != Point::ORIGIN {
-            prop_assert_eq!(*path.last().unwrap(), Point::ORIGIN);
-        }
-    }
-
-    #[test]
-    fn oracle_path_hugs_segment(p in point()) {
-        // Every path point is within one cell of the straight segment.
-        let len2 = (p.x * p.x + p.y * p.y) as f64;
-        if len2 > 0.0 {
-            for q in oracle::return_path(p) {
-                let cross = (q.x * p.y - q.y * p.x).abs() as f64;
-                prop_assert!(cross / len2.sqrt() < 1.0, "{q} strays from segment to {p}");
-            }
-        }
     }
 
     #[test]

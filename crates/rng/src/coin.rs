@@ -6,7 +6,6 @@
 //! keep it verbatim: [`Flip::Tails`] is the probability-`p` outcome.
 
 use crate::dyadic::DyadicProb;
-use crate::ledger::ProbabilityLedger;
 use crate::rng::Rng64;
 
 /// The outcome of a coin flip.
@@ -53,21 +52,6 @@ pub trait Coin {
     /// coins report the resolution of their *base* coin, which is the whole
     /// point of the construction.
     fn required_ell(&self) -> u32;
-
-    /// Flip and record the exercised probability in a ledger.
-    fn flip_recorded<R: Rng64 + ?Sized>(
-        &self,
-        rng: &mut R,
-        ledger: &mut ProbabilityLedger,
-    ) -> Flip {
-        ledger.count_flip();
-        let p = self.tails_probability();
-        if !p.is_zero() && !p.is_one() {
-            ledger.record(p);
-            ledger.record(p.complement());
-        }
-        self.flip(rng)
-    }
 }
 
 /// An atomic biased coin `C_p` with exact dyadic bias.
@@ -191,15 +175,5 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(4);
         let tails: u32 = (0..100_000).map(|_| u32::from(coin.flip(&mut rng).is_tails())).sum();
         assert!(tails <= 2);
-    }
-
-    #[test]
-    fn flip_recorded_updates_ledger() {
-        let coin = BiasedCoin::base(5).unwrap();
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(5);
-        let mut ledger = ProbabilityLedger::new();
-        let _ = coin.flip_recorded(&mut rng, &mut ledger);
-        assert_eq!(ledger.max_ell(), Some(5));
-        assert_eq!(ledger.flips(), 1);
     }
 }

@@ -17,7 +17,6 @@
 
 use crate::coin::{BiasedCoin, Coin, Flip};
 use crate::dyadic::{DyadicError, DyadicProb};
-use crate::ledger::ProbabilityLedger;
 use crate::rng::Rng64;
 
 /// The paper's `coin(k, ℓ)`: tails with probability `1/2^{kℓ}`, realised by
@@ -90,22 +89,6 @@ impl CompositeCoin {
     /// The memory cost of the loop counter: `⌈log₂ k⌉` bits (Lemma 3.6).
     pub fn memory_bits(&self) -> u32 {
         ceil_log2(self.k as u64)
-    }
-
-    /// Flip while recording every *base* flip in the ledger. The recorded
-    /// probabilities are the base coin's — that is exactly what makes the
-    /// construction cheap in `ℓ`.
-    pub fn flip_recorded_base<R: Rng64 + ?Sized>(
-        &self,
-        rng: &mut R,
-        ledger: &mut ProbabilityLedger,
-    ) -> Flip {
-        for _ in 0..self.k {
-            if self.base.flip_recorded(rng, ledger).is_heads() {
-                return Flip::Heads;
-            }
-        }
-        Flip::Tails
     }
 }
 
@@ -236,17 +219,5 @@ mod tests {
         // Non-power-of-two D rounds up: D = 1000 ⇒ log₂ D = 10 ⇒ same coin.
         let coin = CompositeCoin::for_distance(1000, 2).unwrap();
         assert_eq!(coin.tails_probability().to_f64(), 1.0 / 1024.0);
-    }
-
-    #[test]
-    fn recorded_base_flips_expose_only_base_ell() {
-        let coin = CompositeCoin::new(8, 2).unwrap();
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(9);
-        let mut ledger = ProbabilityLedger::new();
-        for _ in 0..100 {
-            let _ = coin.flip_recorded_base(&mut rng, &mut ledger);
-        }
-        assert_eq!(ledger.max_ell(), Some(2), "ledger must only ever see the base coin");
-        assert!(ledger.flips() >= 100);
     }
 }

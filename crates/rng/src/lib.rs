@@ -18,9 +18,6 @@
 //!   probability `p`");
 //! * [`CompositeCoin`] — Algorithm 2 of the paper: simulating `C_{1/2^{kℓ}}`
 //!   from `k` flips of `C_{1/2^ℓ}` using `⌈log k⌉` bits of loop counter;
-//! * [`ProbabilityLedger`] — an audit trail recording the smallest
-//!   probability actually exercised, so the empirical `ℓ` of an algorithm can
-//!   be *measured* instead of merely asserted;
 //! * samplers ([`Geometric`]) and statistical helpers ([`stats`]) used by the
 //!   test-suite and the experiment harnesses.
 //!
@@ -43,8 +40,6 @@ mod coin;
 mod composite;
 mod dyadic;
 mod geometric;
-mod knuth_yao;
-mod ledger;
 mod rng;
 mod splitmix;
 pub mod stats;
@@ -54,8 +49,6 @@ pub use coin::{BiasedCoin, Coin, Flip};
 pub use composite::CompositeCoin;
 pub use dyadic::{DyadicError, DyadicProb};
 pub use geometric::Geometric;
-pub use knuth_yao::{KnuthYao, KnuthYaoError};
-pub use ledger::ProbabilityLedger;
 pub use rng::{Rng64, SeedableRng64};
 pub use splitmix::SplitMix64;
 pub use xoshiro::Xoshiro256PlusPlus;

@@ -1,9 +1,6 @@
-//! Statistical helpers for validating probabilistic claims.
-//!
-//! Every statistical assertion in the workspace's test-suite goes through
-//! these utilities so that tolerances are explicit and failure
-//! probabilities are documented. They are also used by the experiment
-//! harnesses to attach confidence intervals to reported numbers.
+//! Statistical helpers: a running mean/variance accumulator, and the
+//! Wilson score interval behind E3's coin check and the MC-vs-DP
+//! crosscheck.
 
 /// Running mean/variance accumulator (Welford's algorithm).
 ///
@@ -124,70 +121,6 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
     ((centre - half).max(0.0), (centre + half).min(1.0))
 }
 
-/// Pearson chi-square statistic for observed vs expected counts.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length, are empty, or any expected count
-/// is non-positive.
-pub fn chi_square_statistic(observed: &[u64], expected: &[f64]) -> f64 {
-    assert_eq!(observed.len(), expected.len(), "length mismatch");
-    assert!(!observed.is_empty(), "need at least one bucket");
-    observed
-        .iter()
-        .zip(expected.iter())
-        .map(|(&o, &e)| {
-            assert!(e > 0.0, "expected counts must be positive");
-            let d = o as f64 - e;
-            d * d / e
-        })
-        .sum()
-}
-
-/// Conservative chi-square critical value at significance ~1e-6 for `df`
-/// degrees of freedom, via the Wilson–Hilferty cube approximation.
-///
-/// Good to a few percent for `df ≥ 3`, always on the safe (larger) side for
-/// the test-suite's purposes after the built-in 10% inflation.
-pub fn chi_square_critical_1e6(df: u32) -> f64 {
-    assert!(df >= 1, "df must be positive");
-    let df = df as f64;
-    // z-score for upper tail 1e-6.
-    let z = 4.7534;
-    let t = 1.0 - 2.0 / (9.0 * df) + z * (2.0 / (9.0 * df)).sqrt();
-    df * t * t * t * 1.10
-}
-
-/// Two-sided Chernoff tolerance: the deviation `δ·μ` such that
-/// `P[|X − μ| > δμ] ≤ 2·exp(−δ²μ/3) ≤ bound` (paper, Theorem A.4).
-///
-/// Used to size test tolerances with explicit failure probabilities.
-pub fn chernoff_tolerance(mu: f64, bound: f64) -> f64 {
-    assert!(mu > 0.0 && bound > 0.0 && bound < 1.0);
-    let delta = (3.0 * (2.0 / bound).ln() / mu).sqrt();
-    delta * mu
-}
-
-/// Ordinary least squares fit of `y = a + b·x`; returns `(a, b)`.
-///
-/// Used by experiments to fit exponents on log-log data.
-///
-/// # Panics
-///
-/// Panics given fewer than two points or zero variance in `x`.
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64) {
-    assert_eq!(xs.len(), ys.len());
-    assert!(xs.len() >= 2, "need at least two points");
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
-    assert!(sxx > 0.0, "x values must not be constant");
-    let sxy: f64 = xs.iter().zip(ys.iter()).map(|(x, y)| (x - mx) * (y - my)).sum();
-    let b = sxy / sxx;
-    (my - b * mx, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,48 +176,17 @@ mod tests {
         // 500 successes in 1000 trials: interval must contain 0.5.
         let (lo, hi) = wilson_interval(500, 1000, 5.0);
         assert!(lo < 0.5 && 0.5 < hi);
+        // Fewer trials, wider interval, same bracket.
+        let (lo_small, hi_small) = wilson_interval(5, 10, 5.0);
+        assert!(lo_small < 0.5 && 0.5 < hi_small);
+        assert!(hi - lo < hi_small - lo_small);
         // Extreme: zero successes still yields a valid interval.
         let (lo, hi) = wilson_interval(0, 1000, 5.0);
         assert_eq!(lo, 0.0);
         assert!(hi > 0.0 && hi < 0.05);
-    }
-
-    #[test]
-    fn chi_square_statistic_zero_for_perfect_fit() {
-        let observed = [10u64, 20, 30];
-        let expected = [10.0, 20.0, 30.0];
-        assert_eq!(chi_square_statistic(&observed, &expected), 0.0);
-    }
-
-    #[test]
-    fn chi_square_critical_reasonable() {
-        // Known value: chi2(df=10) upper 1e-6 ≈ 46.6 (Wilson–Hilferty within 10%+margin).
-        let c = chi_square_critical_1e6(10);
-        assert!(c > 40.0 && c < 60.0, "critical {c}");
-        // Monotone in df.
-        assert!(chi_square_critical_1e6(20) > c);
-    }
-
-    #[test]
-    fn chernoff_tolerance_shrinks_relatively() {
-        let t1 = chernoff_tolerance(100.0, 1e-9);
-        let t2 = chernoff_tolerance(10_000.0, 1e-9);
-        // Relative tolerance shrinks as mu grows.
-        assert!(t1 / 100.0 > t2 / 10_000.0);
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 + 2.0 * x).collect();
-        let (a, b) = linear_fit(&xs, &ys);
-        assert!((a - 3.0).abs() < 1e-9);
-        assert!((b - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "two points")]
-    fn linear_fit_needs_points() {
-        let _ = linear_fit(&[1.0], &[2.0]);
+        // All successes: clamped at one from above only.
+        let (lo, hi) = wilson_interval(1000, 1000, 5.0);
+        assert_eq!(hi, 1.0);
+        assert!(lo > 0.95 && lo < 1.0);
     }
 }

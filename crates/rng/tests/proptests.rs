@@ -1,8 +1,8 @@
 //! Property-based tests for the randomness substrate.
 
 use ants_rng::{
-    BiasedCoin, Coin, CompositeCoin, DyadicProb, Geometric, ProbabilityLedger, Rng64,
-    SeedableRng64, SplitMix64, Xoshiro256PlusPlus,
+    BiasedCoin, Coin, CompositeCoin, DyadicProb, Geometric, Rng64, SeedableRng64, SplitMix64,
+    Xoshiro256PlusPlus,
 };
 use proptest::prelude::*;
 
@@ -94,26 +94,6 @@ proptest! {
         );
         // Memory bound of Lemma 3.6.
         prop_assert!(coin.memory_bits() <= 32 - k.leading_zeros());
-    }
-
-    #[test]
-    fn ledger_merge_commutes(
-        exps_a in proptest::collection::vec(1u32..40, 0..8),
-        exps_b in proptest::collection::vec(1u32..40, 0..8),
-    ) {
-        let fill = |exps: &[u32]| {
-            let mut l = ProbabilityLedger::new();
-            for &e in exps {
-                l.record(DyadicProb::one_over_pow2(e).unwrap());
-            }
-            l
-        };
-        let mut ab = fill(&exps_a);
-        ab.merge(&fill(&exps_b));
-        let mut ba = fill(&exps_b);
-        ba.merge(&fill(&exps_a));
-        prop_assert_eq!(ab.max_ell(), ba.max_ell());
-        prop_assert_eq!(ab.min_probability(), ba.min_probability());
     }
 
     #[test]

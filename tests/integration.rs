@@ -1,8 +1,10 @@
 //! Cross-crate integration tests: the whole pipeline, end to end.
 
-use ants::automaton::{library, markov, GridAction, Walker};
+use ants::automaton::{compile, library, markov, GridAction, Walker};
 use ants::core::baselines::{AutomatonStrategy, RandomWalk};
-use ants::core::{apply_action, NonUniformSearch, SearchStrategy, UniformSearch};
+use ants::core::{
+    apply_action, CoinNonUniformSearch, NonUniformSearch, SearchStrategy, UniformSearch,
+};
 use ants::grid::{Point, Rect, TargetPlacement};
 use ants::rng::{derive_rng, Rng64};
 use ants::sim::{coverage, run_trial, run_trials, Scenario};
@@ -186,6 +188,29 @@ fn uniform_algorithm_graceful_degradation() {
     assert!(near < far, "nearer food should be found sooner: near {near} vs far {far}");
 }
 
+/// Theorem 3.7's footprint measured from the compiled state machine
+/// (`compile::non_uniform_search`) against the procedural
+/// `CoinNonUniformSearch`'s declared one. Both need the same
+/// `b = ⌈log₂ 6k⌉` bits; the machine's finest probability is
+/// `min(1/2^ℓ, (1 − 1/2^ℓ)/2)`, so its resolution is `max(ℓ, 2)`: the
+/// fair direction choice costs one extra χ bit at `ℓ = 1` and none above.
+#[test]
+fn compiled_chi_tracks_procedural_chi() {
+    for d_exp in [8u32, 16, 32] {
+        for ell in [1u32, 2] {
+            let pfa = compile::non_uniform_search(d_exp, ell).unwrap();
+            let sc = CoinNonUniformSearch::new(1u64 << d_exp, ell).unwrap().selection_complexity();
+            let k = d_exp.div_ceil(ell);
+            assert_eq!(pfa.memory_bits(), (6 * k).next_power_of_two().trailing_zeros());
+            assert_eq!(pfa.memory_bits(), sc.memory_bits(), "d_exp={d_exp} ell={ell}");
+            assert_eq!(pfa.ell(), ell.max(2));
+            assert_eq!(sc.ell(), ell);
+            let gap = if ell == 1 { 1.0 } else { 0.0 };
+            assert_eq!(pfa.chi() - sc.chi(), gap, "d_exp={d_exp} ell={ell}");
+        }
+    }
+}
+
 /// Facade sanity: all re-exports resolve and basic types interoperate.
 #[test]
 fn facade_surface() {
@@ -197,7 +222,5 @@ fn facade_surface() {
     assert_eq!(pfa.chi(), 4.0);
     let strat = AutomatonStrategy::new(pfa);
     assert_eq!(strat.selection_complexity().chi(), 4.0);
-    let oracle_path = ants::grid::oracle::return_path(p);
-    assert_eq!(oracle_path.len(), 7);
     assert_eq!(apply_action(p, GridAction::Origin), Point::ORIGIN);
 }
