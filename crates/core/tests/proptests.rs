@@ -110,7 +110,7 @@ proptest! {
                 let a = s.step(&mut rng);
                 let next = apply_action(pos, a);
                 prop_assert!(
-                    next == pos || next.is_adjacent(&pos) || next == Point::ORIGIN,
+                    next == pos || next.dist_l1(&pos) == 1 || next == Point::ORIGIN,
                     "{}: illegal jump {pos} -> {next}",
                     s.name()
                 );

@@ -40,7 +40,7 @@ use crate::absorb::absorption_cdf_mode;
 use crate::collapse::{collapse, CollapsedKernel};
 use crate::error::DpError;
 use crate::kernel::{kernel_fingerprint, MarkovKernel, TableKernel};
-use crate::rounds::{chi_support, step_absorption_cdf_mode, visit_survival_curve_mode};
+use crate::rounds::{chi_support, step_absorption_cdf_mode};
 use crate::DpMode;
 use ants_grid::{Point, Rect, TargetPlacement};
 use std::sync::Arc;
@@ -277,8 +277,9 @@ pub fn evaluate(req: &DpRequest) -> Result<DpCellReport, DpError> {
 }
 
 /// [`evaluate`] with an optional cross-cell curve cache: every
-/// absorption, survival, and found-round curve is looked up before
-/// solving and stored after solving. Cache keys start from
+/// move-clock absorption curve and step-clock first-passage curve is
+/// looked up before solving and stored after solving (the survival
+/// sweep and the found-round columns share the step-clock curves). Cache keys start from
 /// [`kernel_fingerprint`], so two cells sharing a strategy, a point,
 /// a clock and a [`DpMode`] share the solve — byte-identically.
 ///
@@ -366,6 +367,14 @@ pub fn evaluate_with(
     };
     let horizon = metrics.rounds;
     let hz = horizon as usize;
+    // The step-clock first-passage CDF of strategy `si` on `point`: the
+    // survival sweep reads `1 − F`, the found-round columns read `F`, so
+    // a target inside the bounds is solved once per cell.
+    let round_cdf = |si: usize, point: Point| {
+        let key = format!("r|{:032x}|{},{}|{horizon}|{mode}", fps[si], point.x, point.y);
+        let k = &req.population[si].kernel;
+        cached_curve(cache, key, || step_absorption_cdf_mode(k, k.label(), point, horizon, mode))
+    };
 
     if metrics.needs_survival() {
         let bounds = Rect::ball(metrics.bounds_radius);
@@ -394,14 +403,14 @@ pub fn evaluate_with(
         let at_h = horizon.div_ceil(2) as usize;
         for cell in bounds.points() {
             let mut q_bar = vec![0.0f64; hz + 1];
-            for (si, strat) in req.population.iter().enumerate() {
-                let key = format!("s|{:032x}|{},{}|{horizon}|{mode}", fps[si], cell.x, cell.y);
-                let k = &strat.kernel;
-                let q = cached_curve(cache, key, || {
-                    visit_survival_curve_mode(k, k.label(), cell, horizon, mode)
-                })?;
-                for r in 0..=hz {
-                    q_bar[r] += p_strat[si] * q[r];
+            // The origin is visited at spawn (round 0): its survival is
+            // identically zero.
+            if cell != Point::ORIGIN {
+                for (si, &p) in p_strat.iter().enumerate() {
+                    let f = round_cdf(si, cell)?;
+                    for r in 0..=hz {
+                        q_bar[r] += p * (1.0 - f[r]);
+                    }
                 }
             }
             let v: Vec<f64> = q_bar.iter().map(|&q| 1.0 - q.powf(n)).collect();
@@ -432,14 +441,10 @@ pub fn evaluate_with(
         let mut mean_num = 0.0f64;
         for &(target, tw) in &req.targets {
             let mut f_bar = vec![0.0f64; hz + 1];
-            for (si, strat) in req.population.iter().enumerate() {
-                let key = format!("r|{:032x}|{},{}|{horizon}|{mode}", fps[si], target.x, target.y);
-                let k = &strat.kernel;
-                let f = cached_curve(cache, key, || {
-                    step_absorption_cdf_mode(k, k.label(), target, horizon, mode)
-                })?;
+            for (si, &p) in p_strat.iter().enumerate() {
+                let f = round_cdf(si, target)?;
                 for r in 0..=hz {
-                    f_bar[r] += p_strat[si] * f[r];
+                    f_bar[r] += p * f[r];
                 }
             }
             let g: Vec<f64> = f_bar.iter().map(|&f| 1.0 - (1.0 - f).powf(n)).collect();
@@ -458,6 +463,8 @@ pub fn evaluate_with(
 mod tests {
     use super::*;
     use crate::kernel::{nonuniform_kernel, randomwalk_kernel};
+    use std::collections::HashMap;
+    use std::sync::Mutex;
 
     fn walk_req(agents: u64, budget: u64, targets: Vec<(Point, f64)>) -> DpRequest {
         DpRequest {
@@ -568,32 +575,72 @@ mod tests {
         assert!(mean_round > 0.0 && mean_round <= 8.0);
     }
 
+    /// A map cache counting `(hits, misses)`.
+    #[derive(Default)]
+    struct MapCache {
+        map: Mutex<HashMap<String, Arc<Vec<f64>>>>,
+        gets: Mutex<(u64, u64)>,
+    }
+
+    impl SolveCache for MapCache {
+        fn get(&self, key: &str) -> Option<Arc<Vec<f64>>> {
+            let hit = self.map.lock().unwrap().get(key).cloned();
+            let mut g = self.gets.lock().unwrap();
+            if hit.is_some() {
+                g.0 += 1;
+            } else {
+                g.1 += 1;
+            }
+            hit
+        }
+        fn put(&self, key: &str, value: Arc<Vec<f64>>) {
+            self.map.lock().unwrap().insert(key.to_string(), value);
+        }
+    }
+
+    /// Every column of `a` and `b` holds the same bits.
+    fn assert_bit_identical(a: &DpCellReport, b: &DpCellReport) {
+        let bits = |r: &DpCellReport| {
+            let opt = |v: Option<f64>| v.map(f64::to_bits);
+            let pair = |v: Option<(f64, f64)>| v.map(|(x, y)| (x.to_bits(), y.to_bits()));
+            (
+                [r.success, r.found, r.median_moves, r.mean_moves, r.max_chi].map(f64::to_bits),
+                [opt(r.coverage), opt(r.mean_first_visit), opt(r.chi_obs)],
+                r.adversarial_left,
+                [pair(r.round_trace), pair(r.found_round)],
+            )
+        };
+        assert_eq!(bits(a), bits(b));
+    }
+
+    #[test]
+    fn found_round_shares_the_survival_solves() {
+        // Both targets lie in the radius-1 bounds, so `found_round` reads
+        // step-clock curves the survival sweep already solved.
+        let mut req = walk_req(3, 8, vec![(Point::new(1, 0), 0.5), (Point::new(-1, 1), 0.5)]);
+        req.population.push(DpStrategy { weight: 2, kernel: nonuniform_kernel(2).unwrap() });
+        let coverage =
+            DpMetrics { coverage: true, bounds_radius: 1, rounds: 8, ..Default::default() };
+        let misses = |metrics: DpMetrics| {
+            let cache = MapCache::default();
+            let rep =
+                evaluate_with(&DpRequest { metrics: Some(metrics), ..req.clone() }, Some(&cache));
+            let (_, misses) = *cache.gets.lock().unwrap();
+            (rep.unwrap(), misses)
+        };
+        // 2 strategies × (2 absorption curves + 8 non-origin bounds
+        // cells); the origin is never looked up.
+        assert_eq!(misses(coverage).1, 2 * (2 + 8));
+        let found = DpMetrics { found_round: true, ..coverage };
+        let (shared, found_misses) = misses(found);
+        assert_eq!(found_misses, 2 * (2 + 8), "found_round must add no solve");
+        assert!(shared.found_round.is_some());
+        let fresh = evaluate(&DpRequest { metrics: Some(found), ..req }).unwrap();
+        assert_bit_identical(&fresh, &shared);
+    }
+
     #[test]
     fn memoized_reports_are_byte_identical() {
-        use std::collections::HashMap;
-        use std::sync::Mutex;
-
-        #[derive(Default)]
-        struct MapCache {
-            map: Mutex<HashMap<String, Arc<Vec<f64>>>>,
-            gets: Mutex<(u64, u64)>,
-        }
-        impl SolveCache for MapCache {
-            fn get(&self, key: &str) -> Option<Arc<Vec<f64>>> {
-                let hit = self.map.lock().unwrap().get(key).cloned();
-                let mut g = self.gets.lock().unwrap();
-                if hit.is_some() {
-                    g.0 += 1;
-                } else {
-                    g.1 += 1;
-                }
-                hit
-            }
-            fn put(&self, key: &str, value: Arc<Vec<f64>>) {
-                self.map.lock().unwrap().insert(key.to_string(), value);
-            }
-        }
-
         let mut req = walk_req(3, 8, vec![(Point::new(1, 0), 1.0), (Point::new(2, 1), 1.0 / 2.0)]);
         req.metrics = Some(DpMetrics {
             coverage: true,
@@ -611,27 +658,7 @@ mod tests {
         let (hits, misses) = *cache.gets.lock().unwrap();
         assert!(hits >= misses, "second pass must hit every key: {hits} hits / {misses} misses");
         for rep in [&cold, &warm] {
-            assert_eq!(fresh.success.to_bits(), rep.success.to_bits());
-            assert_eq!(fresh.found.to_bits(), rep.found.to_bits());
-            assert_eq!(fresh.median_moves.to_bits(), rep.median_moves.to_bits());
-            assert_eq!(fresh.mean_moves.to_bits(), rep.mean_moves.to_bits());
-            assert_eq!(fresh.coverage.unwrap().to_bits(), rep.coverage.unwrap().to_bits());
-            assert_eq!(
-                fresh.mean_first_visit.unwrap().to_bits(),
-                rep.mean_first_visit.unwrap().to_bits()
-            );
-            assert_eq!(
-                fresh.round_trace.unwrap().0.to_bits(),
-                rep.round_trace.unwrap().0.to_bits()
-            );
-            assert_eq!(
-                fresh.found_round.unwrap().0.to_bits(),
-                rep.found_round.unwrap().0.to_bits()
-            );
-            assert_eq!(
-                fresh.found_round.unwrap().1.to_bits(),
-                rep.found_round.unwrap().1.to_bits()
-            );
+            assert_bit_identical(&fresh, rep);
         }
     }
 

@@ -7,12 +7,15 @@
 //! The frontier is a `Vec<(u64, f64)>` sorted by a packed key
 //! `(state, x + B, y + B)` (state in the high 22 bits, each offset
 //! coordinate in 21 bits). One step scatters every entry through its
-//! state's exits into the write half, then a *stable* sort + run merge
-//! rebuilds the sorted frontier. Stability matters: contributions to one
-//! cell are summed in exactly the order the dense table would have added
-//! them, so an unfolded sparse solve is bit-identical to the dense solve
-//! — same CDF bytes, same pruned mass, same summation order. The cost
-//! per step is `O(E log E)` in the number of scattered entries `E`.
+//! state's exits into the write half, then a *stable* LSD radix sort
+//! and a run merge rebuild the sorted frontier. Stability matters:
+//! contributions to one cell are summed in exactly the order the dense
+//! table would have added them, so an unfolded sparse solve is
+//! bit-identical to the dense solve — same CDF bytes, same pruned mass,
+//! same summation order. The sort cuts each key field to its varying
+//! bits and makes one counting pass per 11 of them (at most 6),
+//! ping-ponging with the dead read half, so a step costs `O(E)` in the
+//! number of scattered entries `E` and no extra buffer.
 //! The dense table also pays only for what is occupied (its reserved
 //! row spans, plus one span check per `(state, x)` row), so on most
 //! cells the dense guard admits it is the faster of the two. The
@@ -133,6 +136,59 @@ fn state_of(key: u64) -> usize {
     (key >> 42) as usize
 }
 
+/// Widest radix digit: each counting pass has at most `2^DIGIT_BITS`
+/// buckets.
+const DIGIT_BITS: u32 = 11;
+
+/// Stably sort `entries` by packed key with an LSD counting sort,
+/// ping-ponging through `spare` (whose contents are overwritten).
+///
+/// One read pass takes the OR and AND of every key; each field (state,
+/// x, y) is cut below its top varying bit — the bits above it are equal
+/// in every key, so the cut keys order as the full keys do. The
+/// `bits`-wide cut key then takes `⌈bits / DIGIT_BITS⌉` counting passes.
+/// Each pass is stable, so equal keys keep their scatter order, exactly
+/// as `sort_by_key` would leave them.
+fn radix_sort(entries: &mut Vec<(u64, f64)>, spare: &mut Vec<(u64, f64)>) {
+    let (or, and) = entries.iter().fold((0, u64::MAX), |(or, and), &(k, _)| (or | k, and & k));
+    let varying = or ^ and;
+    let width =
+        |shift: u32, bits: u32| 64 - ((varying >> shift) & ((1 << bits) - 1)).leading_zeros();
+    let (ws, wx, wy) = (width(42, 22), width(21, 21), width(0, 21));
+    let bits = ws + wx + wy;
+    if bits == 0 {
+        return;
+    }
+    let mask = |w: u32| (1u64 << w) - 1;
+    let (ms, mx, my) = (mask(ws), mask(wx), mask(wy));
+    let cut = |k: u64| ((k >> 42) & ms) << (wx + wy) | ((k >> 21) & mx) << wy | (k & my);
+    let passes = bits.div_ceil(DIGIT_BITS);
+    let digit = bits.div_ceil(passes);
+    let buckets = 1usize << digit;
+    let bucket = |k: u64, pass: u32| (cut(k) >> (pass * digit)) as usize & (buckets - 1);
+
+    let mut counts = vec![0usize; passes as usize * buckets];
+    for &(k, _) in entries.iter() {
+        for (pass, count) in (0..).zip(counts.chunks_exact_mut(buckets)) {
+            count[bucket(k, pass)] += 1;
+        }
+    }
+    spare.clear();
+    spare.resize(entries.len(), (0, 0.0));
+    for (pass, count) in (0..).zip(counts.chunks_exact_mut(buckets)) {
+        let mut start = 0;
+        for c in count.iter_mut() {
+            (*c, start) = (start, start + *c);
+        }
+        for &e in entries.iter() {
+            let b = bucket(e.0, pass);
+            spare[count[b]] = e;
+            count[b] += 1;
+        }
+        std::mem::swap(entries, spare);
+    }
+}
+
 /// The sorted sparse frontier, folded by an optional mirror.
 pub(crate) struct Frontier {
     span: i64,
@@ -198,23 +254,25 @@ impl Storage for Frontier {
         }
     }
 
-    /// Stable-sort `nxt`'s scatter list and merge equal keys by
-    /// left-to-right summation (the dense table's accumulation order)
-    /// into `cur`.
+    /// Sort `nxt`'s scatter list by key ([`radix_sort`], stable, with
+    /// `cur`'s dead frontier as the spare buffer), merge equal keys by
+    /// left-to-right summation (the dense table's accumulation order),
+    /// and make the result the new `cur`.
     fn settle(
         cur: &mut Frontier,
         nxt: &mut Frontier,
         label: &str,
         at: std::fmt::Arguments<'_>,
     ) -> Result<usize, DpError> {
-        nxt.entries.sort_by_key(|&(k, _)| k);
-        cur.entries.clear();
-        for &(k, p) in &nxt.entries {
-            match cur.entries.last_mut() {
-                Some(last) if last.0 == k => last.1 += p,
-                _ => cur.entries.push((k, p)),
+        radix_sort(&mut nxt.entries, &mut cur.entries);
+        nxt.entries.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
             }
-        }
+            same
+        });
+        std::mem::swap(&mut cur.entries, &mut nxt.entries);
         let live = cur.entries.len();
         if live > crate::MAX_FRONTIER_ENTRIES {
             return Err(DpError::Guard {
@@ -235,10 +293,108 @@ mod tests {
     use crate::kernel::MarkovKernel;
     use crate::kernel::{mortal_kernel, nonuniform_kernel, randomwalk_kernel};
     use crate::{absorption_cdf_mode, DpMode};
+    use proptest::prelude::*;
 
     /// A step-clock solve over 24 rounds, with its storage statistics.
     fn rounds(k: &dyn MarkovKernel, target: Point, mode: DpMode) -> AbsorptionCurve {
         solve(k, k.label(), target, 24, mode).unwrap()
+    }
+
+    /// The order `settle` must reproduce: a stable comparison sort, then
+    /// equal keys summed left to right.
+    fn sort_and_merge(mut scatter: Vec<(u64, f64)>) -> Vec<(u64, f64)> {
+        scatter.sort_by_key(|&(k, _)| k);
+        let mut merged: Vec<(u64, f64)> = Vec::new();
+        for (k, p) in scatter {
+            match merged.last_mut() {
+                Some(last) if last.0 == k => last.1 += p,
+                _ => merged.push((k, p)),
+            }
+        }
+        merged
+    }
+
+    /// Settle `scatter` over a stale frontier and check it against
+    /// [`sort_and_merge`], key for key and bit for bit.
+    fn assert_settles_like_sort(scatter: Vec<(u64, f64)>) {
+        let frontier =
+            |entries| Frontier { span: crate::MAX_SPARSE_SPAN as i64, fold: None, entries };
+        let mut cur = frontier(vec![(3, 0.25); 5]);
+        let mut nxt = frontier(scatter.clone());
+        let live = Frontier::settle(&mut cur, &mut nxt, "test", format_args!("step 1")).unwrap();
+        let want = sort_and_merge(scatter);
+        assert_eq!(live, want.len());
+        let bits = |v: &[(u64, f64)]| v.iter().map(|&(k, p)| (k, p.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&cur.entries), bits(&want));
+    }
+
+    /// A splitmix64 step, for drawing keys from a proptest seed.
+    fn draw(rng: &mut u64) -> u64 {
+        *rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn settle_edge_cases_match_sort() {
+        let span = crate::MAX_SPARSE_SPAN as i64;
+        // The largest state, both offsets at 2·MAX_SPARSE_SPAN.
+        let top = pack(span, (1 << 22) - 1, span, span);
+        assert_settles_like_sort(vec![]);
+        assert_settles_like_sort(vec![(top, 1.0)]);
+        assert_settles_like_sort(vec![(top, 0.1), (0, 0.2), (top, 0.3), (0, 1e-17), (top, 1e17)]);
+        // All keys equal: the whole list is one sum, in scatter order.
+        let equal = (0..100).map(|i| (top, 1.0 / (i as f64 + 3.0))).collect();
+        assert_settles_like_sort(equal);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Keys are drawn from a pool (duplicates; one key when `pool` is
+        /// 1) whose fields are each constant, vary in their low bits,
+        /// vary only in their top bits, or span their full range; masses
+        /// spread over 80 binades so any reordering of a sum shows.
+        #[test]
+        fn settle_matches_stable_sort_and_merge(
+            seed in any::<u64>(),
+            len in 0usize..600,
+            pool in 1usize..300,
+            shapes in (0u32..4, 0u32..4, 0u32..4),
+        ) {
+            let mut rng = seed;
+            let mut field = |shape: u32, bits: u32, max: u64| {
+                let low = draw(&mut rng) as u32 % bits + 1;
+                let high = draw(&mut rng) as u32 % 3 + 1;
+                let vary = match shape {
+                    0 => 0,
+                    1 => (1 << low) - 1,
+                    2 => ((1 << high) - 1) << (bits - high),
+                    _ => (1 << bits) - 1,
+                };
+                let base = draw(&mut rng);
+                move |rng: &mut u64| {
+                    (((base & !vary) | (draw(rng) & vary)) & ((1 << bits) - 1)).min(max)
+                }
+            };
+            let offsets = 2 * crate::MAX_SPARSE_SPAN;
+            let s = field(shapes.0, 22, (1 << 22) - 1);
+            let x = field(shapes.1, 21, offsets);
+            let y = field(shapes.2, 21, offsets);
+            let keys: Vec<u64> = (0..pool)
+                .map(|_| (s(&mut rng) << 42) | (x(&mut rng) << 21) | y(&mut rng))
+                .collect();
+            let scatter = (0..len)
+                .map(|_| {
+                    let k = keys[draw(&mut rng) as usize % pool];
+                    let binade = (draw(&mut rng) % 80) as i32 - 40;
+                    (k, (1.0 + (draw(&mut rng) >> 11) as f64 / (1u64 << 53) as f64) * 2f64.powi(binade))
+                })
+                .collect();
+            assert_settles_like_sort(scatter);
+        }
     }
 
     #[test]

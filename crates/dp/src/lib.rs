@@ -30,9 +30,9 @@
 //! * [`absorption_cdf_mode`] — the move clock: exact per-trial
 //!   absorption CDFs over the target (success probability within any
 //!   move budget, conditional expected/median moves).
-//! * [`step_absorption_cdf_mode`] / [`visit_survival_curve_mode`] — the
-//!   step clock, for the `observe.rs` metric vocabulary: coverage-by-
-//!   round, first-visit curves and found-round curves; [`chi_support`]
+//! * [`step_absorption_cdf_mode`] — the step clock, for the
+//!   `observe.rs` metric vocabulary: found-round curves, and as `1 − F`
+//!   the coverage-by-round and first-visit curves; [`chi_support`]
 //!   adds the χ support statistic.
 //! * `eval` — the cell evaluator: combines per-strategy CDFs for
 //!   independent mixed populations in closed form
@@ -73,7 +73,7 @@ pub use kernel::{
     randomwalk_kernel, uniform_kernel, KernelTransition, MarkovKernel, PositionClass, TableKernel,
     UNIFORM_PHASE_CAP,
 };
-pub use rounds::{chi_support, step_absorption_cdf_mode, visit_survival_curve_mode};
+pub use rounds::{chi_support, step_absorption_cdf_mode};
 
 /// Backend selector surfaced through workload specs and the CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -224,9 +224,11 @@ pub const MAX_SPARSE_SPAN: u64 = (1 << 20) - 1;
 /// below, sparse above. It was measured when a dense step cost the
 /// whole box, between the 10⁵-entry single-state cells and the
 /// 10⁶-entry multi-state cells of the bundled crosscheck grid. A dense
-/// step now costs its occupied row spans, so the true crossing likely
-/// lies higher; the line stays because moving it would move cells
-/// across the fold line and change report bytes. perfbench's
+/// step now costs its occupied row spans and a sparse step settles with
+/// a radix sort instead of a comparison sort; forced-sparse cells still
+/// run several times slower than `Auto` on most of that grid, so the
+/// true crossing likely lies higher. The line stays because moving it
+/// would move cells across the fold line and change report bytes. perfbench's
 /// `dp-exact` workload runs cells on both sides: `decide.dp_dense` and
 /// `decide.dp_sparse` count the choices made here, and
 /// `dp.solve_ms.dense` / `dp.solve_ms.sparse` time them.

@@ -13,13 +13,12 @@
 //! jumps to the origin, and a transition into a truncation state is
 //! lost mass.
 //!
-//! Both public curves are the same first-passage solve:
-//!
-//! * [`step_absorption_cdf_mode`] — `F(r)` = P(a move has landed on the
-//!   target within the first `r` rounds): the found-round curve;
-//! * [`visit_survival_curve_mode`] — `q(r)` = P(a bounds cell is still
-//!   unvisited after `r` rounds): the coverage/first-visit ingredient
-//!   (per-cell curves combine across independent agents as `q̄(r)^n`).
+//! One first-passage solve serves both metric families:
+//! [`step_absorption_cdf_mode`]'s `F(r)` = P(a move has landed on the
+//! point within the first `r` rounds) is the found-round curve of a
+//! target, and `q(r) = 1 − F(r)` = P(a bounds cell is still unvisited
+//! after `r` rounds) is the coverage/first-visit ingredient (per-cell
+//! curves combine across independent agents as `q̄(r)^n`).
 //!
 //! [`chi_support`] is the χ analogue: the exact per-round internal-state
 //! marginal accumulates per-state occupancy mass, and the footprint is
@@ -82,29 +81,6 @@ pub fn step_absorption_cdf_mode(
     mode: DpMode,
 ) -> Result<Vec<f64>, DpError> {
     solve(kernel, label, target, horizon, mode).map(|curve| curve.cdf)
-}
-
-/// The per-cell survival curve: `out[r]` = P(`cell` is still unvisited
-/// after `r` rounds), on the table representation `mode` resolves to.
-/// The origin is visited at spawn (round 0), so its curve is
-/// identically zero.
-///
-/// # Errors
-///
-/// [`DpError::Guard`] / [`DpError::Truncation`] as
-/// [`crate::absorption_cdf_mode`].
-pub fn visit_survival_curve_mode(
-    kernel: &dyn MarkovKernel,
-    label: &str,
-    cell: Point,
-    horizon: u64,
-    mode: DpMode,
-) -> Result<Vec<f64>, DpError> {
-    if cell == Point::ORIGIN {
-        return Ok(vec![0.0; horizon as usize + 1]);
-    }
-    let f = solve(kernel, label, cell, horizon, mode)?.cdf;
-    Ok(f.into_iter().map(|p| 1.0 - p).collect())
 }
 
 /// The exact-backend χ footprint: the maximum `χ` over internal states
@@ -178,13 +154,16 @@ mod tests {
         assert!(by_round[24] > 0.0);
     }
 
+    /// The visit survival curve `1 − F` of `cell`.
+    fn survival(k: &dyn MarkovKernel, cell: Point, horizon: u64) -> Vec<f64> {
+        let f = step_absorption_cdf_mode(k, k.label(), cell, horizon, DpMode::Dense).unwrap();
+        f.into_iter().map(|p| 1.0 - p).collect()
+    }
+
     #[test]
-    fn visit_survival_origin_is_zero_and_neighbours_decay() {
+    fn visit_survival_of_a_neighbour_decays() {
         let k = randomwalk_kernel();
-        let at_origin =
-            visit_survival_curve_mode(&k, "rw", Point::ORIGIN, 8, DpMode::Dense).unwrap();
-        assert!(at_origin.iter().all(|&q| q == 0.0));
-        let near = visit_survival_curve_mode(&k, "rw", Point::new(0, 1), 8, DpMode::Dense).unwrap();
+        let near = survival(&k, Point::new(0, 1), 8);
         assert_eq!(near[0], 1.0);
         assert_eq!(near[1], 0.75);
         for r in 1..near.len() {
@@ -196,8 +175,7 @@ mod tests {
     fn mortal_survival_freezes() {
         let inner = randomwalk_kernel();
         let k = mortal_kernel(&inner, 2).unwrap();
-        let q =
-            visit_survival_curve_mode(&k, "mortal", Point::new(0, 1), 6, DpMode::Dense).unwrap();
+        let q = survival(&k, Point::new(0, 1), 6);
         for r in 2..q.len() {
             assert_eq!(q[r], q[2], "round {r}");
         }

@@ -24,9 +24,8 @@
 use ants_automaton::library;
 use ants_dp::{
     absorption_cdf_mode, coin_kernel, collapse, evaluate_with, mortal_kernel, nonuniform_kernel,
-    pfa_kernel, randomwalk_kernel, step_absorption_cdf_mode, uniform_kernel,
-    visit_survival_curve_mode, DpMode, DpRequest, DpStrategy, MarkovKernel, SolveCache,
-    TableKernel, UNIFORM_PHASE_CAP,
+    pfa_kernel, randomwalk_kernel, step_absorption_cdf_mode, uniform_kernel, DpMode, DpRequest,
+    DpStrategy, MarkovKernel, SolveCache, TableKernel, UNIFORM_PHASE_CAP,
 };
 use ants_grid::Point;
 use proptest::prelude::*;
@@ -52,6 +51,18 @@ fn assert_parity(what: &str, dense: &[f64], sparse: &[f64], exact: bool) {
         let ok = if exact { d.to_bits() == s.to_bits() } else { (d - s).abs() <= PARITY_TOL };
         prop_assert!(ok, "{what} at {t}: dense {d} vs sparse {s} (exact: {exact})");
     }
+}
+
+/// The per-cell visit survival curve `1 − F` the cell evaluator reads.
+fn visit_survival_curve_mode(
+    k: &dyn MarkovKernel,
+    label: &str,
+    cell: Point,
+    horizon: u64,
+    mode: DpMode,
+) -> Result<Vec<f64>, ants_dp::DpError> {
+    let f = step_absorption_cdf_mode(k, label, cell, horizon, mode)?;
+    Ok(f.into_iter().map(|p| 1.0 - p).collect())
 }
 
 /// An off-origin target drawn from `-3..=3`².

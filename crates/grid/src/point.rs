@@ -54,11 +54,6 @@ impl Point {
         Point::new(self.x + dx, self.y + dy)
     }
 
-    /// Are the two points grid-adjacent (exactly one hop apart)?
-    pub fn is_adjacent(&self, other: &Point) -> bool {
-        self.dist_l1(other) == 1
-    }
-
     /// Reflect through the origin.
     pub fn antipode(&self) -> Point {
         -*self
@@ -291,10 +286,10 @@ mod tests {
     fn adjacency() {
         let p = Point::new(2, 2);
         for n in p.neighbors() {
-            assert!(p.is_adjacent(&n));
+            assert_eq!(p.dist_l1(&n), 1);
         }
-        assert!(!p.is_adjacent(&p));
-        assert!(!p.is_adjacent(&Point::new(3, 3)));
+        assert_ne!(p.dist_l1(&p), 1);
+        assert_ne!(p.dist_l1(&Point::new(3, 3)), 1);
     }
 
     #[test]
